@@ -40,11 +40,31 @@ os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ZIPF_DOCS = int(os.environ.get("BENCH_ZIPF_DOCS", "40000"))
+ZIPF_VOCAB = 30_000
 CORPUS_DIR = f"/tmp/se_ray_bench/corpus_{ZIPF_DOCS}"
-QUERIES = [
-    "fast table merge", "spark query scan", "slow window sort", "key value hash",
-    "stream batch line", "group order filter", "big small row", "vector column agg",
-]
+
+
+def bench_queries() -> list[str]:
+    """8 queries of 3 distinct corpus words, each word drawn by its Zipf
+    rank in the bench corpus (``make_vocab`` order, the corpus's default
+    s = 1.1), so serving rows time postings work, not dictionary misses."""
+    import numpy as np
+
+    from search_engine_ray.sources.webpages import make_vocab
+
+    vocab = make_vocab(ZIPF_VOCAB)
+    p = np.arange(1, ZIPF_VOCAB + 1, dtype=np.float64) ** -1.1
+    rng = np.random.default_rng(7)
+    return [" ".join(vocab[i] for i in rng.choice(ZIPF_VOCAB, 3, replace=False,
+                                                   p=p / p.sum()))
+            for _ in range(8)]
+
+
+def assert_hits(path: str, queries: list[str], results: list) -> None:
+    """A served query without hits measured a miss, not the query path."""
+    empty = [q for q, r in zip(queries, results) if not r]
+    if empty:
+        raise AssertionError(f"{path}: no hits for {empty}")
 
 
 def ensure_zipf_corpus() -> str:
@@ -57,7 +77,7 @@ def ensure_zipf_corpus() -> str:
     shutil.rmtree(CORPUS_DIR, ignore_errors=True)
     from search_engine_ray.sources.webpages import generate_webpages
 
-    ds = generate_webpages(ZIPF_DOCS, vocab_size=30_000, tokens_per_doc=150, seed=42)
+    ds = generate_webpages(ZIPF_DOCS, vocab_size=ZIPF_VOCAB, tokens_per_doc=150, seed=42)
     # ~2k-doc files: enough read fragments for 32 CPUs, no tiny-file storm
     ds.write_parquet(CORPUS_DIR, min_rows_per_file=2_000)
     with open(marker, "w") as f:
@@ -141,11 +161,13 @@ def run_bench() -> dict:
     # cache-COLD first queries on a fresh engine: exercises the locator's
     # term→shard→row-group addressing (round 2; previously a predicate
     # scan over the whole postings dataset)
+    queries = bench_queries()
     cold_eng = SearchEngine(zipf_out, build_bktree=False)
     t0 = time.perf_counter()
-    for q in QUERIES:
-        cold_eng.bm25_topk(q, 10)
-    results["bm25_cold_batch"] = time.perf_counter() - t0
+    cold_hits = [cold_eng.bm25_topk(q, 10) for q in queries]
+    cold_s = time.perf_counter() - t0
+    assert_hits("bm25 cold", queries, cold_hits)
+    results["bm25_cold_batch"] = cold_s
 
     eng = SearchEngine(zipf_out)
     # hot-qps campaign: plain BM25 / block-max WAND / MAXSCORE timed
@@ -154,10 +176,10 @@ def run_bench() -> dict:
     # (BENCH_r04's lone maxscore sample read 0.82x while same-day
     # BASELINE re-measurement of identical code read 1.0x: single-sample
     # sequential timing, not a regression)
-    for q in QUERIES:  # warm postings cache (first-read I/O, untimed)
-        eng.bm25_topk(q, 10)
-        eng.bm25_topk_wand(q, 10)
-        eng.bm25_topk_maxscore(q, 10)
+    # warm postings cache (first-read I/O, untimed); every path must hit
+    for path, fn in (("bm25", eng.bm25_topk), ("wand", eng.bm25_topk_wand),
+                     ("maxscore", eng.bm25_topk_maxscore)):
+        assert_hits(path, queries, [fn(q, 10) for q in queries])
     hot_rounds, hot_reps = 4, 100
     hot_times: dict = {"bm25_queries": [], "bm25_wand_queries": [],
                        "bm25_maxscore_queries": []}
@@ -167,10 +189,10 @@ def run_bench() -> dict:
                         ("bm25_maxscore_queries", eng.bm25_topk_maxscore)):
             t0 = time.perf_counter()
             for _ in range(hot_reps):
-                for q in QUERIES:
+                for q in queries:
                     fn(q, 10)
             hot_times[key].append(time.perf_counter() - t0)
-    n_per_round = hot_reps * len(QUERIES)
+    n_per_round = hot_reps * len(queries)
     for key in hot_times:
         results[key] = min(hot_times[key])
     qps = n_per_round / results["bm25_queries"]
@@ -383,7 +405,7 @@ def run_bench() -> dict:
         "bm25_qps": round(qps, 1),
         "bm25_wand_qps": round(wand_qps, 1),
         "bm25_maxscore_qps": round(maxscore_qps, 1),
-        "bm25_cold_ms_per_q": round(results["bm25_cold_batch"] * 1000 / len(QUERIES), 3),
+        "bm25_cold_ms_per_q": round(results["bm25_cold_batch"] * 1000 / len(queries), 3),
     }
     ray.shutdown()
     return out

@@ -155,10 +155,11 @@ class SearchEngine:
 
         # term-addressed postings access (the reference's term → block_ids
         # map, index_metadata.rs:3-48, as shard hash + footer ranges) +
-        # small decoded-postings cache
+        # small decoded-postings cache: term → [postings, BM25 weights or
+        # None], FIFO-evicted at _cache_cap (see _cache_entry)
         n_shards = (self.stats.get("config") or {}).get("index_shards")
         self.locator = PostingsLocator(self.paths.postings, n_shards)
-        self._cache: dict[str, TermPostings] = {}
+        self._cache: dict[str, list] = {}
         self._cache_cap = 1024
 
     # ------------------------------------------------------------------ lookups
@@ -217,18 +218,44 @@ class SearchEngine:
             return None
         return self.locator.read(term, columns=self.WAND_COLUMNS)
 
-    def get_postings(self, term: str) -> TermPostings | None:
+    def _cache_entry(self, term: str) -> list | None:
+        """The cached ``[postings, bm25 weights or None]`` entry of an
+        indexed term, read and decoded on a miss; None when the term is not
+        in the dictionary. Entries evict FIFO at ``_cache_cap``, and a
+        term's weights go with its entry."""
         if self.lookup(term) is None:
             return None
-        hit = self._cache.get(term)
-        if hit is not None:
-            return hit
-        table = self.locator.read(term)
-        tp = decode_term_chunks(table)
-        if len(self._cache) >= self._cache_cap:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[term] = tp
-        return tp
+        ent = self._cache.get(term)
+        if ent is None:
+            ent = [decode_term_chunks(self.locator.read(term)), None]
+            if len(self._cache) >= self._cache_cap:
+                self._cache.pop(next(iter(self._cache)))
+            self._cache[term] = ent
+        return ent
+
+    def get_postings(self, term: str) -> TermPostings | None:
+        ent = self._cache_entry(term)
+        return None if ent is None else ent[0]
+
+    def bm25_postings(self, term: str) -> tuple[TermPostings, np.ndarray] | None:
+        """(postings, BM25 weight per posting) of an indexed term with
+        df > 0, else None. The weights are computed on the term's first
+        BM25 use and cached read-only on its postings entry, so a cache hit
+        skips the doc-length lookup and the weight arithmetic; they are
+        elementwise, so a masked slice equals the weights of the masked
+        postings bit for bit."""
+        ent = self._cache_entry(term)
+        if ent is None or ent[0].df == 0:
+            return None
+        tp, w = ent
+        if w is None:
+            w = bm25_weights(
+                tp.tfs, self.doc_length(tp.doc_ids), tp.df, self.num_docs,
+                self.avgdl, self.config.bm25_k1, self.config.bm25_b,
+            )
+            w.flags.writeable = False
+            ent[1] = w
+        return tp, w
 
     def prefix_search(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Autocomplete: dictionary terms starting with ``prefix``
@@ -333,22 +360,23 @@ class SearchEngine:
         """BM25 top-k over ALREADY-NORMALIZED distinct terms (bm25_topk's
         body; callers holding index terms — e.g. more_like_this — use this
         to avoid re-lemmatizing lemmas)."""
-        doc_parts, score_parts = [], []
-        for t in terms:
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
-                continue
-            dl = self.doc_length(tp.doc_ids)
-            w = bm25_weights(
-                tp.tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b,
-            )
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(w)
+        doc_parts, score_parts = self._bm25_parts(terms)
         if not doc_parts:
             return []
         ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
+
+    def _bm25_parts(self, terms) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-term (doc_ids, BM25 weights) lists over the indexed terms
+        with df > 0, in term order — the input the BM25 modes feed
+        topk_docs."""
+        doc_parts, score_parts = [], []
+        for t in terms:
+            got = self.bm25_postings(t)
+            if got is not None:
+                doc_parts.append(got[0].doc_ids)
+                score_parts.append(got[1])
+        return doc_parts, score_parts
 
     def bm25_topk_msm(self, query: str, k: int = 10,
                       min_match: int = 2) -> list[tuple[int, float]]:
@@ -359,19 +387,7 @@ class SearchEngine:
         ``min_match=len(terms)`` scores exactly the AND set. Per-query work
         is the same postings union as bm25_topk plus one np.unique — no
         extra index reads."""
-        terms = self.query_terms(query)
-        doc_parts, score_parts = [], []
-        for t in terms:
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
-                continue
-            dl = self.doc_length(tp.doc_ids)
-            w = bm25_weights(
-                tp.tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b,
-            )
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(w)
+        doc_parts, score_parts = self._bm25_parts(self.query_terms(query))
         if not doc_parts:
             return []
         docs = np.concatenate(doc_parts)
@@ -427,19 +443,16 @@ class SearchEngine:
         entry = self._doc_sort_attrs[attr]
         doc_parts, score_parts = [], []
         for t in self.query_terms(query):
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
+            got = self.bm25_postings(t)
+            if got is None:
                 continue
+            tp, w = got
             present, vals = numeric_attr_probe(entry, tp.doc_ids)
             keep = present & (vals >= lo) & (vals <= hi)
             if not keep.any():
                 continue
-            docs, tfs = tp.doc_ids[keep], tp.tfs[keep]
-            dl = self.doc_length(docs)
-            doc_parts.append(docs)
-            score_parts.append(bm25_weights(
-                tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b))
+            doc_parts.append(tp.doc_ids[keep])
+            score_parts.append(w[keep])
         if not doc_parts:
             return []
         ids, scores = topk_docs(np.concatenate(doc_parts),
@@ -457,18 +470,7 @@ class SearchEngine:
         registry rank after all present ones (Lucene's missing-last).
         Returns [(doc_id, attr_value, bm25_score)] (missing attr →
         nan)."""
-        doc_parts, score_parts = [], []
-        for t in self.query_terms(query):
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
-                continue
-            dl = self.doc_length(tp.doc_ids)
-            w = bm25_weights(
-                tp.tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b,
-            )
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(w)
+        doc_parts, score_parts = self._bm25_parts(self.query_terms(query))
         if not doc_parts:
             return []
         # per-doc bm25 accumulated PER TERM (left-to-right in term order —
@@ -507,20 +509,15 @@ class SearchEngine:
         engine-resident like doc lengths)."""
         doc_parts, score_parts = [], []
         for t in self.query_terms(query):
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
+            got = self.bm25_postings(t)
+            if got is None:
                 continue
+            tp, w = got
             keep = self._attr_mask(attr, allowed, tp.doc_ids)
             if not keep.any():
                 continue
-            docs, tfs = tp.doc_ids[keep], tp.tfs[keep]
-            dl = self.doc_length(docs)
-            w = bm25_weights(
-                tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b,
-            )
-            doc_parts.append(docs)
-            score_parts.append(w)
+            doc_parts.append(tp.doc_ids[keep])
+            score_parts.append(w[keep])
         if not doc_parts:
             return []
         ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
@@ -669,21 +666,13 @@ class SearchEngine:
         from search_engine_ray.query.postings_codec import segmented_min_distance
         from search_engine_ray.query.scoring import bm25_idf
 
-        terms = self.query_terms(query)
-        tps = []
-        for t in terms:
-            tp = self.get_postings(t)
-            if tp is not None and tp.df:
-                tps.append((tp, bm25_idf(tp.df, self.num_docs)))
-        if not tps:
+        got = [g for g in map(self.bm25_postings, self.query_terms(query))
+               if g is not None]
+        if not got:
             return []
-        doc_parts, score_parts = [], []
-        for tp, _idf in tps:
-            dl = self.doc_length(tp.doc_ids)
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(bm25_weights(
-                tp.tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b))
+        doc_parts = [tp.doc_ids for tp, _w in got]
+        score_parts = [w for _tp, w in got]
+        tps = [(tp, bm25_idf(tp.df, self.num_docs)) for tp, _w in got]
 
         from search_engine_ray.query.postings_codec import ragged_slices
 
@@ -785,16 +774,11 @@ class SearchEngine:
             seen.setdefault(t.word, bigram_weight)
         doc_parts, score_parts = [], []
         for term, w in seen.items():
-            tp = self.get_postings(term)
-            if tp is None or tp.df == 0:
+            got = self.bm25_postings(term)
+            if got is None:
                 continue
-            dl = self.doc_length(tp.doc_ids)
-            bw = bm25_weights(
-                tp.tfs, dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b,
-            )
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(bw * w)
+            doc_parts.append(got[0].doc_ids)
+            score_parts.append(got[1] * w)
         if not doc_parts:
             return []
         ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
@@ -1129,15 +1113,13 @@ class SearchEngine:
 
         scores = np.zeros(len(cand), np.float64)
         for t in score_terms:
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
+            got = self.bm25_postings(t)
+            if got is None:
                 continue
+            tp, w = got
             idx = np.searchsorted(cand, tp.doc_ids)
             hit = (idx < len(cand)) & (
                 cand[np.minimum(idx, len(cand) - 1)] == tp.doc_ids)
-            dl = self.doc_length(tp.doc_ids[hit])
-            scores[idx[hit]] += bm25_weights(
-                tp.tfs[hit], dl, tp.df, self.num_docs, self.avgdl,
-                self.config.bm25_k1, self.config.bm25_b)
+            scores[idx[hit]] += w[hit]
         ids, sc = topk_docs(cand, scores, k)
         return [(int(d), float(s)) for d, s in zip(ids, sc)]

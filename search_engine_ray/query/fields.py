@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from search_engine_ray.query.scoring import bm25_weights, topk_docs
+from search_engine_ray.query.scoring import topk_docs
 
 
 def bm25f_topk(engines: dict, weights: dict[str, float], query: str,
@@ -36,14 +36,11 @@ def bm25f_topk(engines: dict, weights: dict[str, float], query: str,
         if w == 0.0:
             continue
         for t in eng.query_terms(query):
-            tp = eng.get_postings(t)
-            if tp is None or tp.df == 0:
+            got = eng.bm25_postings(t)
+            if got is None:
                 continue
-            dl = eng.doc_length(tp.doc_ids)
-            s = bm25_weights(tp.tfs, dl, tp.df, eng.num_docs, eng.avgdl,
-                             eng.config.bm25_k1, eng.config.bm25_b)
-            doc_parts.append(tp.doc_ids)
-            score_parts.append(w * s)
+            doc_parts.append(got[0].doc_ids)
+            score_parts.append(w * got[1])
     if not doc_parts:
         return []
     ids, scores = topk_docs(np.concatenate(doc_parts),

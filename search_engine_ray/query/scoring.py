@@ -52,14 +52,38 @@ def bm25_weights(
 
 
 def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k by (score desc, doc_id asc); accepts unaggregated (doc, score)
-    pairs and sums per doc first (accumulation pattern of
-    search_engine/mod.rs:57-69)."""
-    if len(doc_ids) == 0:
+    """Top-k by (score desc, doc_id asc) over unaggregated (doc, score)
+    pairs (accumulation pattern of search_engine/mod.rs:57-69).
+
+    Contract:
+      * each doc's score is summed in ``scores.dtype`` and in INPUT order —
+        per-term concatenation order, the order the oracle and every
+        engine's coordinator add in (bincount would sum in float64 and
+        reduceat pairwise, both off in the last ulp);
+      * every doc tied with the k-th score survives the cut, so the final
+        (score desc, doc_id asc) order breaks ties exactly like a full sort;
+      * returns (doc_ids in ``doc_ids.dtype``, scores in ``scores.dtype``);
+        empty input or k <= 0 → two empty arrays.
+
+    Doc ids arriving as a few ascending runs (one per query term) make the
+    stable argsort a run merge; the k-th score is found by ``np.partition``
+    and only docs scoring at least that are fully sorted."""
+    if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
-    uniq, inv = np.unique(doc_ids, return_inverse=True)
-    agg = np.zeros(len(uniq), dtype=scores.dtype)
-    np.add.at(agg, inv, scores)
-    order = np.lexsort((uniq, -agg))  # score desc, then doc_id asc
-    order = order[:k]
-    return uniq[order], agg[order]
+    order = np.argsort(doc_ids, kind="stable")
+    sorted_ids = doc_ids[order]
+    first = np.empty(len(sorted_ids), bool)
+    first[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    uniq = sorted_ids[first]
+    agg = np.zeros(len(uniq), scores.dtype)
+    # stable order keeps each doc's entries in input order for add.at
+    np.add.at(agg, np.cumsum(first) - 1, scores[order])
+    neg = -agg  # ascending key; NaN sorts last here as in the lexsort
+    if k < len(agg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):  # a NaN k-th key means fewer than k numbers
+            keep = np.flatnonzero(neg <= kth)
+            uniq, agg, neg = uniq[keep], agg[keep], neg[keep]
+    top = np.lexsort((uniq, neg))[:k]
+    return uniq[top], agg[top]

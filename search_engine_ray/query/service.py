@@ -62,7 +62,9 @@ class ShardServingActor:
                            columns=["doc_id", "doc_length"]).combine_chunks().sort_by("doc_id")
         self._dl_ids = dl["doc_id"].to_numpy().astype(np.int64)
         self._dl = dl["doc_length"].to_numpy().astype(np.int64)
-        # decoded-postings LRU (same policy as SearchEngine._cache)
+        # decoded-postings cache, evicted FIFO at _cache_cap (insertion
+        # order; a hit does not refresh) — the same policy as
+        # SearchEngine._cache
         self._cache: dict = {}
         self._cache_cap = 1024
         # per-term (doc_ids, weights, impact order) cache for bounded serving

@@ -554,3 +554,63 @@ def test_doc_attr_null_values_never_match(built):
     got = engine.bm25_topk_filtered("common word", 1000, attr="nullable",
                                     allowed=("en",))
     assert got and all(d % 2 == 1 for d, _s in got)
+
+
+class TestPostingsCacheCoherence:
+    """BM25 weights live on their decoded-postings cache entry: under a
+    2-term cache every query cycle evicts, and results must not move."""
+
+    CYCLE = QUERIES + ["the quick brown fox jumps over the lazy dog",
+                       "common word alpha beta gamma", "repeat phrase target"]
+
+    @pytest.fixture()
+    def tiny(self, built):
+        engine, oracle, paths = built
+        eng = SearchEngine(paths.out_dir, engine.config, build_bktree=False)
+        eng._cache_cap = 2
+        return eng, oracle
+
+    def test_rank_identity_to_oracle_under_eviction(self, tiny):
+        eng, oracle = tiny
+        for _round in range(2):
+            for q in self.CYCLE:
+                for k in (3, 10):  # k = 3 cuts inside the 'common' tie group
+                    assert eng.bm25_topk(q, k) == oracle.bm25_topk(q, k), (q, k)
+                assert len(eng._cache) <= 2
+
+    def test_weights_never_outlive_their_entry(self, tiny):
+        from search_engine_ray.query.scoring import bm25_weights
+
+        eng, _oracle = tiny
+        first = eng.bm25_postings("common")[1]
+        for q in self.CYCLE:
+            eng.bm25_topk(q, 10)
+            for term, (tp, w) in eng._cache.items():
+                if w is None:
+                    continue
+                assert not w.flags.writeable
+                want = bm25_weights(tp.tfs, eng.doc_length(tp.doc_ids), tp.df,
+                                    eng.num_docs, eng.avgdl)
+                assert w.tobytes() == want.tobytes(), term
+        assert "common" not in eng._cache
+        again = eng.bm25_postings("common")[1]
+        assert again is not first and again.tobytes() == first.tobytes()
+
+    def test_modes_match_default_cache(self, built, tiny):
+        engine, _oracle, _ = built
+        eng, _ = tiny
+        ids = np.arange(1, engine.num_docs + 1)
+        for e in (engine, eng):
+            e.set_doc_attr("par", ids, ["even" if i % 2 == 0 else "odd" for i in ids])
+            e.set_doc_sort_attr("rank", ids, (ids * 7) % 11)
+        for q in self.CYCLE:
+            assert eng.bm25_topk_msm(q, 10, 2) == engine.bm25_topk_msm(q, 10, 2), q
+            assert eng.bm25_topk_filtered(q, 5, attr="par", allowed=("odd",)) \
+                == engine.bm25_topk_filtered(q, 5, attr="par", allowed=("odd",)), q
+            assert eng.bm25_topk_range(q, 5, attr="rank", lo=2, hi=8) \
+                == engine.bm25_topk_range(q, 5, attr="rank", lo=2, hi=8), q
+            assert eng.bm25_topk_sorted(q, 5, attr="rank") \
+                == engine.bm25_topk_sorted(q, 5, attr="rank"), q
+            assert eng.bm25_prox_topk(q, 5) == engine.bm25_prox_topk(q, 5), q
+            assert eng.bm25_topk_blended(q, 5) == engine.bm25_topk_blended(q, 5), q
+            assert eng.search(q, 5) == engine.search(q, 5), q

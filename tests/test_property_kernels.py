@@ -244,3 +244,93 @@ class TestPiiRepetitionBatchTwins:
         assert int(pii["n_email"].sum()) == 3 and int(pii["n_phone"].sum()) == 2
         assert rep.loc[3, "dup_line_frac"] == 0.5
         assert rep.loc[4, "dup_5gram_frac"] > 0
+
+
+def _topk_docs_spec(doc_ids, scores, k):
+    """The unique + add.at + full-lexsort top-k that topk_docs must equal:
+    per-doc sums in scores.dtype and input order, (score desc, doc_id asc)."""
+    if len(doc_ids) == 0:
+        return doc_ids[:0], scores[:0]
+    uniq, inv = np.unique(doc_ids, return_inverse=True)
+    agg = np.zeros(len(uniq), dtype=scores.dtype)
+    np.add.at(agg, inv, scores)
+    order = np.lexsort((uniq, -agg))[:k]
+    return uniq[order], agg[order]
+
+
+def _assert_topk_matches_spec(doc_ids, scores, k):
+    from search_engine_ray.query.scoring import topk_docs
+
+    got_ids, got_sc = topk_docs(doc_ids, scores, k)
+    want_ids, want_sc = _topk_docs_spec(doc_ids, scores, k)
+    assert got_ids.dtype == want_ids.dtype and got_sc.dtype == want_sc.dtype
+    np.testing.assert_array_equal(got_ids, want_ids)
+    assert got_sc.tobytes() == want_sc.tobytes(), (got_sc, want_sc)  # bit-identical
+
+
+# few distinct values make ties at the k-th score common; wide ones make
+# the summation order visible in the last ulp
+_tie_scores = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])
+_wide_scores = st.floats(-1e16, 1e16, allow_nan=False)
+
+
+class TestTopkDocsProperty:
+    @given(st.lists(st.lists(st.integers(0, 40), unique=True, max_size=25), max_size=8),
+           st.data(), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_runs_match_spec(self, runs, data, dtype, k):
+        """Per-term ascending runs with duplicate docs across runs — the
+        shape every BM25/tf-idf mode feeds the kernel."""
+        ids = np.array([d for run in runs for d in sorted(run)], np.int64)
+        sc = data.draw(st.lists(st.one_of(_tie_scores, _wide_scores),
+                                min_size=len(ids), max_size=len(ids)))
+        _assert_topk_matches_spec(ids, np.array(sc, dtype), k)
+
+    @given(st.lists(st.tuples(st.integers(-5, 30), st.one_of(_tie_scores, _wide_scores)),
+                    max_size=60),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_unsorted_input_matches_spec(self, pairs, dtype, k):
+        ids = np.array([d for d, _ in pairs], np.int64)
+        _assert_topk_matches_spec(ids, np.array([s for _, s in pairs], dtype), k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges(self, dtype):
+        ids = np.array([3, 1, 2, 1, 3], np.int64)
+        sc = np.array([1.0, 0.5, 1.5, 1.0, 0.5], dtype)
+        for k in (0, 1, 2, 3, 4, 100):  # k = 0 … k ≥ distinct docs
+            _assert_topk_matches_spec(ids, sc, k)
+        _assert_topk_matches_spec(ids[:0], sc[:0], 5)  # empty input
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ties_at_kth_score_break_by_doc_id(self, dtype):
+        from search_engine_ray.query.scoring import topk_docs
+
+        ids = np.array([9, 4, 7, 2, 5], np.int64)
+        sc = np.array([2.0, 1.0, 1.0, 1.0, 0.5], dtype)
+        got_ids, got_sc = topk_docs(ids, sc, 3)
+        assert got_ids.tolist() == [9, 2, 4] and got_sc.tolist() == [2.0, 1.0, 1.0]
+        _assert_topk_matches_spec(ids, sc, 3)
+
+    def test_sum_is_in_input_order(self):
+        """(1e16 + 1) - 1e16 = 0 in input order; a pairwise or reordered
+        sum would give 1."""
+        from search_engine_ray.query.scoring import topk_docs
+
+        ids = np.array([5, 5, 5], np.int64)
+        sc = np.array([1e16, 1.0, -1e16])
+        got_ids, got_sc = topk_docs(ids, sc, 1)
+        assert got_ids.tolist() == [5] and got_sc.tolist() == [0.0]
+        _assert_topk_matches_spec(ids, sc, 1)
+        # the same sum spread over three per-term runs with other docs
+        ids = np.array([5, 8, 2, 5, 5, 9], np.int64)
+        sc = np.array([1e16, 3.0, 0.5, 1.0, -1e16, 0.25])
+        for k in range(5):
+            _assert_topk_matches_spec(ids, sc, k)
+
+    def test_nan_scores_rank_last(self):
+        ids = np.array([1, 2, 3, 4], np.int64)
+        sc = np.array([np.nan, 1.0, 2.0, np.nan])
+        for k in range(6):
+            _assert_topk_matches_spec(ids, sc, k)
