@@ -23,7 +23,11 @@ from search_engine_ray.functions.tokenizer import Tokenizer
 from search_engine_ray.pipelines.build import IndexPaths, load_stats
 from search_engine_ray.query.bktree import BKTree
 from search_engine_ray.query.locator import PostingsLocator
-from search_engine_ray.query.postings_codec import TermPostings, decode_term_chunks
+from search_engine_ray.query.postings_codec import (
+    LEAN_COLUMNS,
+    TermPostings,
+    decode_term_chunks,
+)
 from search_engine_ray.query.scoring import bm25_weights, tfidf_weights, topk_docs
 
 
@@ -96,6 +100,30 @@ def _within_window_docs(words, tps, candidates, window: int) -> np.ndarray:
     return np.asarray(out, np.int64)
 
 
+def postings_entry(cache: dict, cap: int, locator: PostingsLocator,
+                   term: str, positions: bool) -> list:
+    """The ``[postings, derived or None]`` entry of ``term`` in a
+    decoded-postings ``cache`` (FIFO-evicted at ``cap``), read and decoded
+    on a miss — the one cache rule every serving engine shares.
+
+    A miss makes one ``locator.read``: with every column when ``positions``
+    is asked for, else with ``LEAN_COLUMNS`` only, caching lean postings.
+    When ``positions`` is asked for and the cached postings are lean, the
+    term is re-read with every column and its postings are replaced IN
+    PLACE: the entry keeps its FIFO slot and whatever is derived from its
+    doc ids and tfs (identical in both reads)."""
+    ent = cache.get(term)
+    if ent is None:
+        ent = [decode_term_chunks(locator.read(
+            term, columns=None if positions else LEAN_COLUMNS)), None]
+        if len(cache) >= cap:
+            cache.pop(next(iter(cache)))
+        cache[term] = ent
+    elif positions and ent[0].pos_offsets is None:
+        ent[0] = decode_term_chunks(locator.read(term))
+    return ent
+
+
 class SearchEngine:
     def __init__(
         self,
@@ -156,7 +184,8 @@ class SearchEngine:
         # term-addressed postings access (the reference's term → block_ids
         # map, index_metadata.rs:3-48, as shard hash + footer ranges) +
         # small decoded-postings cache: term → [postings, BM25 weights or
-        # None], FIFO-evicted at _cache_cap (see _cache_entry)
+        # None], FIFO-evicted at _cache_cap (see postings_entry); postings
+        # hold positions only once a positional mode has asked for them
         n_shards = (self.stats.get("config") or {}).get("index_shards")
         self.locator = PostingsLocator(self.paths.postings, n_shards)
         self._cache: dict[str, list] = {}
@@ -218,24 +247,14 @@ class SearchEngine:
             return None
         return self.locator.read(term, columns=self.WAND_COLUMNS)
 
-    def _cache_entry(self, term: str) -> list | None:
-        """The cached ``[postings, bm25 weights or None]`` entry of an
-        indexed term, read and decoded on a miss; None when the term is not
-        in the dictionary. Entries evict FIFO at ``_cache_cap``, and a
-        term's weights go with its entry."""
+    def get_postings(self, term: str) -> TermPostings | None:
+        """Positional postings of an indexed term (None when the term is
+        not in the dictionary); lean cached postings are upgraded in place
+        (see :func:`postings_entry`)."""
         if self.lookup(term) is None:
             return None
-        ent = self._cache.get(term)
-        if ent is None:
-            ent = [decode_term_chunks(self.locator.read(term)), None]
-            if len(self._cache) >= self._cache_cap:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[term] = ent
-        return ent
-
-    def get_postings(self, term: str) -> TermPostings | None:
-        ent = self._cache_entry(term)
-        return None if ent is None else ent[0]
+        return postings_entry(self._cache, self._cache_cap, self.locator,
+                              term, positions=True)[0]
 
     def bm25_postings(self, term: str) -> tuple[TermPostings, np.ndarray] | None:
         """(postings, BM25 weight per posting) of an indexed term with
@@ -243,9 +262,13 @@ class SearchEngine:
         BM25 use and cached read-only on its postings entry, so a cache hit
         skips the doc-length lookup and the weight arithmetic; they are
         elementwise, so a masked slice equals the weights of the masked
-        postings bit for bit."""
-        ent = self._cache_entry(term)
-        if ent is None or ent[0].df == 0:
+        postings bit for bit. A miss reads and caches lean postings (no
+        positions); positional modes take theirs from :meth:`get_postings`."""
+        if self.lookup(term) is None:
+            return None
+        ent = postings_entry(self._cache, self._cache_cap, self.locator,
+                             term, positions=False)
+        if ent[0].df == 0:
             return None
         tp, w = ent
         if w is None:
@@ -666,8 +689,11 @@ class SearchEngine:
         from search_engine_ray.query.postings_codec import segmented_min_distance
         from search_engine_ray.query.scoring import bm25_idf
 
-        got = [g for g in map(self.bm25_postings, self.query_terms(query))
-               if g is not None]
+        got = []
+        for t in self.query_terms(query):
+            tp = self.get_postings(t)  # positional: the pairs need positions
+            if tp is not None and tp.df:
+                got.append((tp, self.bm25_postings(t)[1]))
         if not got:
             return []
         doc_parts = [tp.doc_ids for tp, _w in got]

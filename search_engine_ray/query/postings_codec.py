@@ -13,17 +13,30 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
-from search_engine_ray.functions.vb import decode_ascending, vb_decode_array
+from search_engine_ray.functions.vb import binary_column_parts, vb_decode_array
+
+
+#: the chunk columns BM25 scoring reads: enough to order a term's chunk rows
+#: and decode its doc ids and tfs. The position columns (pos_lens, pos_gaps)
+#: are often most of a row's bytes, so a read that names only these prunes
+#: them, and decode_term_chunks returns lean postings.
+LEAN_COLUMNS = ["term", "salt", "chunk_seq", "first_doc_id", "doc_gaps", "tfs"]
 
 
 @dataclass
 class TermPostings:
-    """Merged, doc_id-ascending postings of one term."""
+    """Merged, doc_id-ascending postings of one term.
+
+    Lean postings (decoded from a read without the position columns, see
+    ``LEAN_COLUMNS``) carry doc ids and tfs only: ``pos_offsets`` is None
+    and ``pos_values`` is an empty array, so counting positions still works
+    while every positional access raises."""
 
     doc_ids: np.ndarray  # int64, ascending
     tfs: np.ndarray  # int64
-    # positions as a flat array + offsets (positions[offsets[i]:offsets[i+1]])
-    pos_offsets: np.ndarray
+    # positions as a flat array + offsets (positions[offsets[i]:offsets[i+1]]);
+    # offsets None on lean postings
+    pos_offsets: np.ndarray | None
     pos_values: np.ndarray
 
     @property
@@ -31,6 +44,8 @@ class TermPostings:
         return len(self.doc_ids)
 
     def positions_of(self, i: int) -> np.ndarray:
+        if self.pos_offsets is None:
+            raise ValueError("lean postings hold no positions")
         return self.pos_values[self.pos_offsets[i] : self.pos_offsets[i + 1]]
 
     def positions_for_doc(self, doc_id: int) -> np.ndarray | None:
@@ -65,39 +80,44 @@ def proximity_window_pairs(pp1: np.ndarray, pp2: np.ndarray, k: int
     return np.repeat(pp1, counts), pp2[np.repeat(lo, counts) + within]
 
 
-def decode_chunk_doc_ids(doc_gaps: bytes) -> np.ndarray:
-    return decode_ascending(doc_gaps)
+def _restart_cumsum(gaps: np.ndarray, counts: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Un-delta ``gaps`` split into consecutive segments of ``counts``
+    values, each segment's first value absolute → (values, segment
+    offsets). One global cumsum minus the total carried into each segment
+    start."""
+    bounds = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    if bounds[-1] != len(gaps):
+        raise ValueError(f"segment counts cover {bounds[-1]} of {len(gaps)} values")
+    run = np.zeros(len(gaps) + 1, np.int64)
+    np.cumsum(gaps.view(np.int64), out=run[1:])
+    return run[1:] - np.repeat(run[bounds[:-1]], counts), bounds
 
 
-def decode_chunk_positions(pos_gaps: bytes, pos_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """→ (pos_offsets, pos_values) for one chunk; pos_lens = VB byte length
-    per posting (the split the reference encodes inline, helper.rs:75-78)."""
-    gaps = vb_decode_array(np.frombuffer(pos_gaps, np.uint8)) if len(pos_gaps) else np.zeros(0, np.uint64)
-    # value-count per posting: VB values and bytes are aligned per posting;
-    # recover counts by decoding byte-lengths per value within each span.
-    # Positions are per-posting delta streams: first value absolute → we must
-    # cumsum WITHIN posting spans. Compute value counts per posting from the
-    # byte stream: count terminator bytes per span.
-    buf = np.frombuffer(pos_gaps, np.uint8)
-    term_mask = (buf >= 128).astype(np.int64)
-    byte_bounds = np.zeros(len(pos_lens) + 1, np.int64)
-    np.cumsum(np.asarray(pos_lens, np.int64), out=byte_bounds[1:])
-    csum = np.zeros(len(buf) + 1, np.int64)
-    np.cumsum(term_mask, out=csum[1:])
-    counts = csum[byte_bounds[1:]] - csum[byte_bounds[:-1]]
-    offsets = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # un-delta: groupwise cumsum = global cumsum minus the base carried in
-    # from previous postings
-    running = np.cumsum(gaps.astype(np.int64))
-    starts = offsets[:-1]
-    base_per_posting = np.where(starts > 0, running[np.maximum(starts - 1, 0)], 0)
-    values = running - np.repeat(base_per_posting, counts)
-    return offsets, values
+def _column(table: pa.Table, name: str) -> pa.Array:
+    col = table.column(name)
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _binary_stream(arr: pa.Array) -> np.ndarray:
+    """The values of a binary column concatenated, zero-copy."""
+    offsets, data = binary_column_parts(arr)
+    return data[offsets[0] : offsets[-1]]
 
 
 def decode_term_chunks(chunks: pa.Table) -> TermPostings:
-    """All chunk rows of ONE term (any order) → merged TermPostings.
+    """All chunk rows of ONE term (any order, any number of record
+    batches) → merged TermPostings, in one vectorized pass: one VB decode
+    of the concatenated doc-gap streams restarted at every chunk (each
+    chunk's first doc id is absolute), one flatten of the tfs, and one VB
+    decode of the concatenated position streams split by the flattened
+    per-posting byte lengths (``pos_lens``).
+
+    Positions are decoded only when the table has the ``pos_gaps`` and
+    ``pos_lens`` columns; a table read with ``LEAN_COLUMNS`` gives lean
+    postings (``pos_offsets`` None, ``pos_values`` empty, see
+    :class:`TermPostings`).
 
     Rows are ordered by (salt, first_doc_id): salt buckets are disjoint
     ascending doc_id ranges, and within a (term, salt) group every chunk —
@@ -105,33 +125,35 @@ def decode_term_chunks(chunks: pa.Table) -> TermPostings:
     ascending doc_id range, so this ordering restores global doc_id order
     exactly (stages/merge.py).
     """
+    positional = "pos_gaps" in chunks.column_names
     if chunks.num_rows == 0:
         z = np.zeros(0, np.int64)
-        return TermPostings(z, z, np.zeros(1, np.int64), z)
-    chunks = chunks.combine_chunks().sort_by(
-        [("salt", "ascending"), ("first_doc_id", "ascending"), ("chunk_seq", "ascending")]
-    )
-    doc_parts = []
-    tf_parts = []
-    off_parts = [np.zeros(1, np.int64)]
-    val_parts = []
-    total = 0
-    for row in range(chunks.num_rows):
-        doc_gaps = chunks["doc_gaps"][row].as_py()
-        doc_parts.append(decode_chunk_doc_ids(doc_gaps))
-        tfs = np.asarray(chunks["tfs"][row].as_py(), np.int64)
-        tf_parts.append(tfs)
-        pos_lens = np.asarray(chunks["pos_lens"][row].as_py(), np.int64)
-        offs, vals = decode_chunk_positions(chunks["pos_gaps"][row].as_py(), pos_lens)
-        off_parts.append(offs[1:] + total)
-        total += offs[-1]
-        val_parts.append(vals)
-    return TermPostings(
-        np.concatenate(doc_parts),
-        np.concatenate(tf_parts),
-        np.concatenate(off_parts),
-        np.concatenate(val_parts) if val_parts else np.zeros(0, np.int64),
-    )
+        return TermPostings(z, z, np.zeros(1, np.int64) if positional else None, z)
+    if chunks.num_rows > 1:
+        order = np.lexsort((_column(chunks, "chunk_seq").to_numpy(),
+                            _column(chunks, "first_doc_id").to_numpy(),
+                            _column(chunks, "salt").to_numpy()))
+        if (np.diff(order) != 1).any():
+            chunks = chunks.take(order)
+    tf_col = _column(chunks, "tfs")
+    tfs = tf_col.flatten().to_numpy().astype(np.int64)
+    doc_ids, _ = _restart_cumsum(
+        vb_decode_array(_binary_stream(_column(chunks, "doc_gaps"))),
+        np.diff(tf_col.offsets.to_numpy()))
+    if not positional:
+        return TermPostings(doc_ids, tfs, None, np.zeros(0, np.int64))
+    pos_lens = _column(chunks, "pos_lens").flatten().to_numpy().astype(np.int64)
+    buf = _binary_stream(_column(chunks, "pos_gaps"))
+    # values per posting = VB terminator bytes in its byte span
+    byte_bounds = np.zeros(len(pos_lens) + 1, np.int64)
+    np.cumsum(pos_lens, out=byte_bounds[1:])
+    if byte_bounds[-1] != len(buf):
+        raise ValueError(f"pos_lens cover {byte_bounds[-1]} of {len(buf)} position bytes")
+    terminators = np.zeros(len(buf) + 1, np.int64)
+    np.cumsum(buf >= 128, out=terminators[1:])
+    counts = terminators[byte_bounds[1:]] - terminators[byte_bounds[:-1]]
+    pos_values, pos_offsets = _restart_cumsum(vb_decode_array(buf), counts)
+    return TermPostings(doc_ids, tfs, pos_offsets, pos_values)
 
 
 def segmented_min_distance(pos1: np.ndarray, off1: np.ndarray,

@@ -26,8 +26,8 @@ import ray
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.tokenizer import Tokenizer
 from search_engine_ray.pipelines.build import IndexPaths, load_stats
+from search_engine_ray.query.engine import postings_entry
 from search_engine_ray.query.locator import PostingsLocator
-from search_engine_ray.query.postings_codec import decode_term_chunks
 from search_engine_ray.query.scoring import bm25_weights, topk_docs
 
 
@@ -62,9 +62,10 @@ class ShardServingActor:
                            columns=["doc_id", "doc_length"]).combine_chunks().sort_by("doc_id")
         self._dl_ids = dl["doc_id"].to_numpy().astype(np.int64)
         self._dl = dl["doc_length"].to_numpy().astype(np.int64)
-        # decoded-postings cache, evicted FIFO at _cache_cap (insertion
-        # order; a hit does not refresh) — the same policy as
-        # SearchEngine._cache
+        # decoded-postings cache: term → [postings, None], evicted FIFO at
+        # _cache_cap (insertion order; a hit does not refresh) — the same
+        # rule as SearchEngine._cache (engine.postings_entry): lean until a
+        # positional call asks for positions
         self._cache: dict = {}
         self._cache_cap = 1024
         # per-term (doc_ids, weights, impact order) cache for bounded serving
@@ -189,14 +190,9 @@ class ShardServingActor:
             self._bktree = BKTree(list(self._dict))
         return self._bktree.find(key, edit_distance)
 
-    def _postings(self, term: str):
-        tp = self._cache.get(term)
-        if tp is None:
-            tp = decode_term_chunks(self.locator.read(term))
-            if len(self._cache) >= self._cache_cap:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[term] = tp
-        return tp
+    def _postings(self, term: str, positions: bool = False):
+        return postings_entry(self._cache, self._cache_cap, self.locator,
+                              term, positions)[0]
 
     def attr_codes(self, name: str, doc_ids) -> np.ndarray:
         """Attribute codes for the given docs (-1 = unregistered), used by
@@ -273,7 +269,7 @@ class ShardServingActor:
         for t in terms:
             if t not in self._dict:
                 continue
-            tp = self._postings(t)
+            tp = self._postings(t, positions=True)
             idx = np.searchsorted(tp.doc_ids, doc_ids)
             hit = (idx < len(tp.doc_ids)) & (
                 tp.doc_ids[np.minimum(idx, len(tp.doc_ids) - 1)] == doc_ids)

@@ -614,3 +614,142 @@ class TestPostingsCacheCoherence:
             assert eng.bm25_prox_topk(q, 5) == engine.bm25_prox_topk(q, 5), q
             assert eng.bm25_topk_blended(q, 5) == engine.bm25_topk_blended(q, 5), q
             assert eng.search(q, 5) == engine.search(q, 5), q
+
+
+def _prox_spec(oracle, eng, query, w=1.0):
+    """bm25_prox_topk from the oracle's postings: BM25 plus, per pair of
+    distinct query terms present in a doc, w·(idf_a + idf_b)/md²."""
+    from search_engine_ray.query.scoring import bm25_idf
+
+    scores = dict(oracle.bm25_topk(query, 10**6))
+    terms = [t for t in eng.query_terms(query) if oracle.postings.get(t)]
+    for a in range(len(terms)):
+        for b in range(a + 1, len(terms)):
+            pa_, pb_ = oracle.postings[terms[a]], oracle.postings[terms[b]]
+            idf = (bm25_idf(len(pa_), oracle.num_docs)
+                   + bm25_idf(len(pb_), oracle.num_docs))
+            for d in set(pa_) & set(pb_):
+                md = max(min(abs(i - j) for i in pa_[d] for j in pb_[d]), 1)
+                scores[d] += w * idf / md**2
+    return scores
+
+
+class TestLeanPostingsCache:
+    """BM25 misses cache lean postings (doc ids + tfs); positional modes
+    upgrade the same entry in place. Under a 2-term cache, interleaved
+    modes over overlapping terms evict, hit and upgrade constantly."""
+
+    MODES_QUERIES = ["alpha beta", "beta gamma", "alpha gamma beta",
+                     "phrase target", "common word", "quick brown fox"]
+
+    @pytest.fixture()
+    def tiny(self, built):
+        engine, oracle, paths = built
+        eng = SearchEngine(paths.out_dir, engine.config, build_bktree=False)
+        eng._cache_cap = 2
+        reads = []
+        read = eng.locator.read
+
+        def recording_read(term, columns=None):
+            reads.append((term, columns))
+            return read(term, columns=columns)
+
+        eng.locator.read = recording_read
+        return eng, engine, oracle, reads
+
+    def test_mixed_modes_match_oracle(self, tiny):
+        eng, engine, oracle, _reads = tiny
+        for _round in range(2):
+            for q in self.MODES_QUERIES:
+                assert eng.bm25_topk(q, 10) == oracle.bm25_topk(q, 10), q
+                assert eng.phrase(q).tolist() == oracle.phrase(q), q
+                got = eng.bm25_prox_topk(q, 1000)
+                want = _prox_spec(oracle, eng, q)
+                assert {d for d, _ in got} == set(want), q
+                for d, s in got:
+                    assert s == pytest.approx(want[d], rel=1e-12), (q, d)
+                assert got[:5] == engine.bm25_prox_topk(q, 5), q
+                for t in eng.query_terms(q):
+                    tp = eng.get_postings(t)
+                    for d, positions in oracle.postings.get(t, {}).items():
+                        assert tp.positions_for_doc(d).tolist() == positions, (t, d)
+                assert len(eng._cache) <= 2
+
+    def test_bm25_miss_reads_once_without_positions(self, tiny):
+        from search_engine_ray.query.postings_codec import LEAN_COLUMNS
+
+        eng, _engine, _oracle, reads = tiny
+        eng.bm25_topk("alpha beta", 10)
+        assert reads == [("alpha", LEAN_COLUMNS), ("beta", LEAN_COLUMNS)]
+        assert not any(c.startswith("pos_") for c in LEAN_COLUMNS)
+        del reads[:]
+        eng.bm25_topk("alpha beta", 10)  # both cached: no read
+        assert reads == []
+
+    def test_upgrade_keeps_slot_and_weights(self, tiny):
+        eng, _engine, _oracle, reads = tiny
+        eng.bm25_topk("alpha beta", 10)
+        before = {t: (ent[0], ent[1]) for t, ent in eng._cache.items()}
+        assert all(tp.pos_offsets is None for tp, _w in before.values())
+        del reads[:]
+        eng.phrase("alpha beta")
+        # one full-column re-read per lean term, same FIFO order
+        assert reads == [("alpha", None), ("beta", None)]
+        assert list(eng._cache) == list(before)
+        for t, (tp, w) in before.items():
+            new_tp, new_w = eng._cache[t]
+            assert new_w is w  # the same read-only weights array object
+            assert new_tp is not tp and new_tp.pos_offsets is not None
+            np.testing.assert_array_equal(new_tp.doc_ids, tp.doc_ids)
+            np.testing.assert_array_equal(new_tp.tfs, tp.tfs)
+        del reads[:]
+        eng.bm25_prox_topk("alpha beta", 5)  # positional and weighted: hits
+        assert reads == []
+
+    def test_lean_postings_refuse_positions(self, tiny):
+        from search_engine_ray.query.postings_codec import ragged_slices
+
+        eng, _engine, _oracle, _reads = tiny
+        tp, _w = eng.bm25_postings("common")
+        assert tp.pos_offsets is None and len(tp.pos_values) == 0
+        with pytest.raises(ValueError):
+            tp.positions_of(0)
+        with pytest.raises(ValueError):
+            tp.positions_for_doc(int(tp.doc_ids[0]))
+        with pytest.raises(TypeError):
+            ragged_slices(tp.pos_offsets, tp.pos_values, np.array([0]))
+
+
+def test_bm25_miss_goes_through_traced_hooks(built, monkeypatch):
+    """The serving benchmark's per-layer trace wraps the ``query.engine``
+    globals ``decode_term_chunks``, ``bm25_weights`` and ``topk_docs`` and
+    the engine's ``locator.read``; a cache-miss ``bm25_topk`` must call
+    every one of them, and the decode counter's ``len(out.pos_values)``
+    must work on lean postings."""
+    import search_engine_ray.query.engine as engine_mod
+
+    engine, oracle, paths = built
+    eng = SearchEngine(paths.out_dir, engine.config, build_bktree=False)
+    calls = {"read": 0, "decode": 0, "weights": 0, "topk": 0}
+    positions = []
+
+    def counting(name, fn, after=None):
+        def wrapped(*a, **kw):
+            calls[name] += 1
+            out = fn(*a, **kw)
+            if after:
+                after(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(engine_mod, "decode_term_chunks", counting(
+        "decode", engine_mod.decode_term_chunks,
+        lambda out: positions.append(len(out.pos_values))))
+    monkeypatch.setattr(engine_mod, "bm25_weights",
+                        counting("weights", engine_mod.bm25_weights))
+    monkeypatch.setattr(engine_mod, "topk_docs",
+                        counting("topk", engine_mod.topk_docs))
+    eng.locator.read = counting("read", eng.locator.read)
+    assert eng.bm25_topk("alpha beta", 10) == oracle.bm25_topk("alpha beta", 10)
+    assert calls == {"read": 2, "decode": 2, "weights": 2, "topk": 1}
+    assert positions == [0, 0]
