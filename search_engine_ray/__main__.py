@@ -148,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "query":
             from search_engine_ray.query.engine import SearchEngine
 
-            eng = SearchEngine(args.index,
-                               build_bktree=args.mode in ("fuzzy", "suggest"))
+            eng = SearchEngine(args.index)
             text = " ".join(args.text)
             if args.mode == "bm25":
                 out = eng.bm25_topk(text, args.k)

@@ -178,7 +178,8 @@ class SearchEngine:
         self._dl = dl["doc_length"].to_numpy().astype(np.int64)
 
         # fuzzy lookup (my_bk_tree/mod.rs:3-26; built from all dictionary
-        # terms like index_metadata.rs:33-35)
+        # terms like index_metadata.rs:33-35, one tree level per batched
+        # Levenshtein call)
         self.bktree = BKTree(terms) if build_bktree else None
 
         # term-addressed postings access (the reference's term → block_ids
@@ -247,14 +248,16 @@ class SearchEngine:
             return None
         return self.locator.read(term, columns=self.WAND_COLUMNS)
 
-    def get_postings(self, term: str) -> TermPostings | None:
-        """Positional postings of an indexed term (None when the term is
-        not in the dictionary); lean cached postings are upgraded in place
-        (see :func:`postings_entry`)."""
+    def get_postings(self, term: str, positions: bool = True
+                     ) -> TermPostings | None:
+        """Postings of an indexed term (None when the term is not in the
+        dictionary): positional by default, lean cached postings upgraded
+        in place; with ``positions=False`` whatever is cached, a miss
+        reading lean postings (see :func:`postings_entry`)."""
         if self.lookup(term) is None:
             return None
         return postings_entry(self._cache, self._cache_cap, self.locator,
-                              term, positions=True)[0]
+                              term, positions)[0]
 
     def bm25_postings(self, term: str) -> tuple[TermPostings, np.ndarray] | None:
         """(postings, BM25 weight per posting) of an indexed term with
@@ -990,17 +993,15 @@ class SearchEngine:
         suggests itself at distance 0), ties broken by largest df, then
         lexicographic. → (term, distance, df) or None when nothing lies
         within ``max_distance``."""
-        from search_engine_ray.query.bktree import levenshtein
-
         if self.bktree is None:
             raise RuntimeError("engine built with build_bktree=False")
         key = self.tokenizer.normalize(term)
         best = None
-        for cand in self.bktree.find(key, max_distance):
+        for cand, dist in self.bktree.find(key, max_distance, with_distance=True):
             meta = self.lookup(cand)
             if meta is None:  # pragma: no cover - bktree is built from vocab
                 continue
-            rank = (levenshtein(key, cand), -meta[1], cand)
+            rank = (dist, -meta[1], cand)
             if best is None or rank < best[0]:
                 best = (rank, cand, meta[1])
         if best is None:

@@ -84,11 +84,12 @@ class SegmentedSearchEngine:
             return np.ones(len(doc_ids), bool)
         return ~np.isin(doc_ids, self.tombstones)
 
-    def _term_postings(self, term: str):
-        """[(engine, TermPostings)] over segments that have the term."""
+    def _term_postings(self, term: str, positions: bool = False):
+        """[(engine, TermPostings)] over segments that have the term; lean
+        (no positions) unless ``positions`` is asked for."""
         out = []
         for eng in self.engines:
-            tp = eng.get_postings(term)
+            tp = eng.get_postings(term, positions)
             if tp is not None and tp.df:
                 out.append((eng, tp))
         return out
@@ -436,16 +437,16 @@ class SegmentedSearchEngine:
                              cap, k, digits)
         return [(int(d[i]), float(s[i])) for i in kept]
 
-    def _bm25_parts(self, terms: list[str]):
+    def _bm25_parts(self, terms: list[str], positions: bool = False):
         """(doc_parts, score_parts, term_data) — per-(term, segment) BM25
         contribution arrays in term-major, segment-minor order (each doc
         lives in one segment, so per doc this is query-term order — the
         monolithic engine's float summation order). ``term_data`` is
         [(term, global idf, [(engine, postings)])] for reuse by boosted
-        scorers."""
+        scorers; its postings carry positions only when asked for."""
         doc_parts, score_parts, term_data = [], [], []
         for t in terms:
-            tps = self._term_postings(t)
+            tps = self._term_postings(t, positions)
             df_g = sum(tp.df for _e, tp in tps)
             if df_g == 0:
                 continue
@@ -539,7 +540,7 @@ class SegmentedSearchEngine:
         from search_engine_ray.query.postings_codec import segmented_min_distance
 
         doc_parts, score_parts, term_data = self._bm25_parts(
-            self.query_terms(query))
+            self.query_terms(query), positions=True)
         if not doc_parts:
             return []
         for x in range(len(term_data)):
@@ -581,7 +582,7 @@ class SegmentedSearchEngine:
         hits = self.bm25_topk(query, k)
         if not hits or not terms:
             return []
-        per_term = {t: self._term_postings(t) for t in terms}
+        per_term = {t: self._term_postings(t, positions=True) for t in terms}
         out = []
         for doc_id, score in hits:
             pos_lists = []

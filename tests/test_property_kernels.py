@@ -432,3 +432,67 @@ class TestDecodeTermChunksProperty:
         assert tp.df == 0 and tp.pos_offsets.tolist() == [0] and len(tp.pos_values) == 0
         lean = decode_term_chunks(empty.select(LEAN_COLUMNS))
         assert lean.df == 0 and lean.pos_offsets is None and len(lean.pos_values) == 0
+
+
+# a small alphabet makes near and equal strings common; NUL and non-BMP
+# characters check the 0-padded utf-32 code matrices
+_lev_texts = st.text(
+    alphabet=st.one_of(st.sampled_from(["a", "b", "\x00", "é", "\U0001d11e"]),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=64)
+_lev_pairs = st.lists(st.tuples(_lev_texts, _lev_texts), max_size=40)
+
+
+def _assert_batch_matches_scalar(pairs):
+    """The chunked driver every BK-tree level runs through."""
+    from search_engine_ray.query.bktree import _distances, _encode, levenshtein
+
+    rows = np.arange(len(pairs))
+    got = _distances(_encode([a for a, _ in pairs]), rows,
+                     _encode([b for _, b in pairs]), rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == [levenshtein(a, b) for a, b in pairs]
+
+
+class TestLevenshteinBatchProperty:
+    @given(_lev_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_spec(self, pairs):
+        _assert_batch_matches_scalar(pairs)
+
+    @given(_lev_pairs, st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_ignores_extra_padding(self, pairs, extra_a, extra_b):
+        """The raw kernel over matrices padded wider than any row."""
+        from search_engine_ray.query.bktree import _encode, _pad, levenshtein, levenshtein_rows
+
+        sa, sb = _encode([a for a, _ in pairs]), _encode([b for _, b in pairs])
+        rows = np.arange(len(pairs))
+        wa = int(sa[2].max(initial=0)) + extra_a
+        wb = int(sb[2].max(initial=0)) + extra_b
+        got = levenshtein_rows(_pad(sa, rows, wa), sa[2], _pad(sb, rows, wb), sb[2])
+        assert got.tolist() == [levenshtein(a, b) for a, b in pairs]
+
+    @given(_lev_pairs, st.data(), st.sampled_from([1, 8, 64, 4096]))
+    @settings(max_examples=25, deadline=None)
+    def test_long_outlier_and_small_cell_budgets(self, pairs, data, budget):
+        """One 2,000-char term in the batch, on either side, under cell
+        budgets small enough to cut the rows into many width groups."""
+        from unittest import mock
+
+        from search_engine_ray.query import bktree
+
+        at = data.draw(st.integers(0, len(pairs)))
+        long = "ab\x00" * 666 + data.draw(_lev_texts)[:2]
+        short = data.draw(_lev_texts)
+        pairs = pairs[:at] + [data.draw(st.sampled_from([(long, short), (short, long)]))] + pairs[at:]
+        with mock.patch.object(bktree, "_CELL_BUDGET", budget):
+            _assert_batch_matches_scalar(pairs)
+
+    def test_edges(self):
+        _assert_batch_matches_scalar([])
+        _assert_batch_matches_scalar([
+            ("", ""), ("", "abc"), ("abc", ""), ("\x00", ""), ("", "\x00"),
+            ("\x00a", "a\x00"), ("abcdef", "ab"), ("ab", "abcdef"),
+            ("kitten", "sitting"), ("\U0001f600", "\U0001f601"),
+            ("a" * 64, "b" * 63), ("x" * 2000, "x")])

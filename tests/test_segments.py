@@ -168,6 +168,55 @@ class TestAppend:
             assert seg.df(t) == (full.lookup(t) or (0, 0))[1]
 
 
+
+class TestSegmentedLeanPostings:
+    """Segment engines read lean postings (doc ids + tfs) for BM25 and
+    positional ones only where positions are used."""
+
+    @pytest.fixture()
+    def recorded(self, built):
+        _full, _seg, root, _fd = built
+        seg = SegmentedSearchEngine(root, CFG)
+        reads = []
+        for i, eng in enumerate(seg.engines):
+            def recording_read(term, columns=None, _read=eng.locator.read, _i=i):
+                reads.append((_i, term, columns))
+                return _read(term, columns=columns)
+
+            eng.locator.read = recording_read
+        return seg, reads
+
+    def test_bm25_miss_reads_lean_columns(self, built, recorded):
+        from search_engine_ray.query.postings_codec import LEAN_COLUMNS
+
+        full, _seg, _root, _fd = built
+        seg, reads = recorded
+        assert seg.bm25_topk("alpha beta", 10) == full.bm25_topk("alpha beta", 10)
+        assert reads and all(cols == LEAN_COLUMNS for _i, _t, cols in reads)
+        assert {t for _i, t, _c in reads} == {"alpha", "beta"}
+        del reads[:]
+        assert seg.bm25_topk("alpha beta", 10) == full.bm25_topk("alpha beta", 10)
+        assert reads == []  # cached
+
+    @pytest.mark.parametrize("q", ["alpha beta", "quick brown", "common word"])
+    def test_positional_modes_upgrade_after_lean_reads(self, built, recorded, q):
+        full, _seg, _root, _fd = built
+        seg, reads = recorded
+        assert seg.bm25_topk(q, 10) == full.bm25_topk(q, 10)
+        del reads[:]
+        assert seg.snippets(q, 10) == full.snippets(q, 10)
+        assert seg.bm25_prox_topk(q, 10) == full.bm25_prox_topk(q, 10)
+        assert reads and all(cols is None for _i, _t, cols in reads)
+
+    def test_fuzzy_matches_monolithic(self, built):
+        full, _seg, root, _fd = built
+        seg = SegmentedSearchEngine(root, CFG, build_bktree=True)
+        found = 0
+        for probe, d in (("helo", 1), ("wrold", 2), ("comon", 1), ("zzzzq", 2)):
+            assert seg.fuzzy(probe, d) == full.fuzzy(probe, d)
+            found += bool(full.fuzzy(probe, d))
+        assert found == 3
+
 class TestTombstones:
     def test_deleted_docs_filtered_everywhere(self, built, tmp_path_factory):
         _full, _seg, root, _fd = built
