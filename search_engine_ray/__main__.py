@@ -5,13 +5,12 @@ handle_query} (/root/reference/src/search_engine/mod.rs:24-70) with an empty
 main(); this CLI is the runnable equivalent.
 
     python -m search_engine_ray build  --input DIR_OR_PARQUET --out IDX [--resume]
-    python -m search_engine_ray query  --index IDX --mode bm25 "fast table merge"
+    python -m search_engine_ray query  --index IDX_OR_SEGMENT_ROOT --mode bm25 "fast table merge"
     python -m search_engine_ray dedup  --sf-dir /root/testdata/sf0.01 [--threshold 0.7]
     python -m search_engine_ray bench-queries --index IDX --n 40
     python -m search_engine_ray segment-add --root ROOT --input DIR_OR_PARQUET
     python -m search_engine_ray segment-delete --root ROOT 5 12 40
     python -m search_engine_ray segment-compact --root ROOT
-    python -m search_engine_ray segment-query --root ROOT "fast table merge"
 
 Owns its Ray session (init+shutdown); the library itself never does.
 """
@@ -48,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--resume", action="store_true")
     b.add_argument("--chunk-size", type=int, default=128)
 
-    q = sub.add_parser("query", help="query a built index")
+    q = sub.add_parser("query", help="query a built index or a segment root")
     q.add_argument("--index", required=True)
     q.add_argument("--mode", default="bm25",
                    choices=["bm25", "bm25_wand", "bm25_blend", "tfidf", "boolean",
@@ -80,10 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     sd.add_argument("doc_ids", nargs="+", type=int)
     sc = sub.add_parser("segment-compact", help="merge all segments (minus tombstones) into one")
     sc.add_argument("--root", required=True)
-    sq = sub.add_parser("segment-query", help="BM25 across segments with tombstone filtering")
-    sq.add_argument("--root", required=True)
-    sq.add_argument("--k", type=int, default=10)
-    sq.add_argument("text", nargs="+")
 
     args = ap.parse_args(argv)
     ray = _ray_session(args.num_cpus)
@@ -146,9 +141,17 @@ def main(argv: list[str] | None = None) -> int:
                         EngineConfig(chunk_size=args.chunk_size), resume=args.resume)
             print(json.dumps(load_stats(args.out)))
         elif args.cmd == "query":
-            from search_engine_ray.query.engine import SearchEngine
+            import os
 
-            eng = SearchEngine(args.index)
+            from search_engine_ray.pipelines.segments import SEGMENTS_FILE
+            from search_engine_ray.query.engine import SearchEngine
+            from search_engine_ray.query.segmented import SegmentedSearchEngine
+
+            # a segment root (segments.json) serves through the same modes
+            if os.path.exists(os.path.join(args.index, SEGMENTS_FILE)):
+                eng = SegmentedSearchEngine(args.index, build_bktree=True)
+            else:
+                eng = SearchEngine(args.index)
             text = " ".join(args.text)
             if args.mode == "bm25":
                 out = eng.bm25_topk(text, args.k)
@@ -227,13 +230,6 @@ def main(argv: list[str] | None = None) -> int:
 
             seg_dir = compact(args.root)
             print(json.dumps({"segment": seg_dir, "stats": load_stats(seg_dir)}))
-        elif args.cmd == "segment-query":
-            from search_engine_ray.query.segmented import SegmentedSearchEngine
-
-            seng = SegmentedSearchEngine(args.root)
-            text = " ".join(args.text)
-            print(json.dumps({"query": text,
-                              "results": seng.bm25_topk(text, args.k)}))
         return 0
     finally:
         ray.shutdown()

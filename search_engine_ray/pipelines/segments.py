@@ -12,8 +12,9 @@ Lucene-style segment model on top of the existing build:
   existing segments: each delta pays only its own build.
 * ``delete_docs(root, ids)`` records tombstones (a DELETE-list — O(deletes),
   never corpus-sized; the same lesson as corpus_clean's drop-list).
-  Serving filters them (query/segmented.py); stats keep counting deleted
-  docs until compaction, exactly like Lucene's deleted docs.
+  Serving drops them at the merged postings read
+  (query/segmented.py:SegmentedSearchEngine._read_postings); stats keep
+  counting deleted docs until compaction, exactly like Lucene's deleted docs.
 * ``compact(root)`` merges every segment (minus tombstoned postings) into
   ONE new segment and resets the tombstone list. Postings are reconstructed
   from the chunk rows LOSSLESSLY and fully vectorized — ``pos_gaps`` is a

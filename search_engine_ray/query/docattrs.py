@@ -1,5 +1,5 @@
-"""Per-doc attribute registry shared by the three serving paths (local
-engine, distributed shard actors, segmented engine) — the state behind
+"""Per-doc attribute registry shared by the serving paths (local and
+segmented engine, distributed shard actors) — the state behind
 filtered retrieval (``bm25_topk_filtered``): one sorted doc_id array plus
 dense value codes per attribute, O(num_docs) like the doc_length array,
 built once and probed per query with a pure integer mask."""

@@ -65,8 +65,8 @@ def _min_cover_window(pos_lists: list[np.ndarray]) -> tuple[int, int, int]:
 def _ordered_window_docs(tps, candidates, slop: int) -> np.ndarray:
     """Shared kernel: docs in ``candidates`` with an in-order chain across
     ``tps`` whose span has ≤ ``slop`` extra tokens (greedy minimal chains —
-    the one positional kernel local, distributed and segmented serving all
-    call, so parity is by construction)."""
+    the one positional kernel local (and so segmented) and distributed
+    serving both call, so parity is by construction)."""
     _FAR = np.int64(1) << 62
     out = []
     for doc in candidates:
@@ -100,27 +100,37 @@ def _within_window_docs(words, tps, candidates, window: int) -> np.ndarray:
     return np.asarray(out, np.int64)
 
 
-def postings_entry(cache: dict, cap: int, locator: PostingsLocator,
-                   term: str, positions: bool) -> list:
-    """The ``[postings, derived or None]`` entry of ``term`` in a
-    decoded-postings ``cache`` (FIFO-evicted at ``cap``), read and decoded
-    on a miss — the one cache rule every serving engine shares.
+def read_postings(locator: PostingsLocator, term: str,
+                  positions: bool) -> TermPostings:
+    """One term's postings from one index: a single ``locator.read``, with
+    every column when ``positions`` is asked for, else with
+    ``LEAN_COLUMNS`` only (lean postings). ``decode_term_chunks`` and
+    ``locator.read`` are looked up at call time, so a wrapper installed on
+    either from outside (a tracer, a read counter) sees every read."""
+    return decode_term_chunks(locator.read(
+        term, columns=None if positions else LEAN_COLUMNS))
 
-    A miss makes one ``locator.read``: with every column when ``positions``
-    is asked for, else with ``LEAN_COLUMNS`` only, caching lean postings.
+
+def postings_entry(cache: dict, cap: int, read, term: str,
+                   positions: bool) -> list:
+    """The ``[postings, derived or None]`` entry of ``term`` in a
+    decoded-postings ``cache`` (FIFO-evicted at ``cap``), read on a miss
+    through ``read(term, positions) -> TermPostings`` — the one cache rule
+    every serving engine shares.
+
+    A miss makes one ``read``, lean unless ``positions`` is asked for.
     When ``positions`` is asked for and the cached postings are lean, the
-    term is re-read with every column and its postings are replaced IN
+    term is re-read with positions and its postings are replaced IN
     PLACE: the entry keeps its FIFO slot and whatever is derived from its
     doc ids and tfs (identical in both reads)."""
     ent = cache.get(term)
     if ent is None:
-        ent = [decode_term_chunks(locator.read(
-            term, columns=None if positions else LEAN_COLUMNS)), None]
+        ent = [read(term, positions), None]
         if len(cache) >= cap:
             cache.pop(next(iter(cache)))
         cache[term] = ent
     elif positions and ent[0].pos_offsets is None:
-        ent[0] = decode_term_chunks(locator.read(term))
+        ent[0] = read(term, True)
     return ent
 
 
@@ -134,18 +144,34 @@ class SearchEngine:
         self.config = config or EngineConfig()
         self.paths = IndexPaths(index_dir)
         self.stats = load_stats(index_dir)
-        self.num_docs: int = self.stats["num_docs"]
-        self.avgdl: float = self.stats["avgdl"]
         self.tokenizer = Tokenizer(lemma_path=self.config.lemma_path)
+        # term-addressed postings access (the reference's term → block_ids
+        # map, index_metadata.rs:3-48, as shard hash + footer ranges)
+        n_shards = (self.stats.get("config") or {}).get("index_shards")
+        self.locator = PostingsLocator(self.paths.postings, n_shards)
+        dic = pq.read_table(
+            self.paths.dictionary, columns=["term", "term_id", "df"]
+        ).combine_chunks().sort_by("term")
+        # doc lengths + urls indexed by doc_id (sorted arrays + searchsorted;
+        # doc_ids are dense 1..N from zip_with_index but we stay robust)
+        dl = pq.read_table(
+            self.paths.doc_lengths, columns=["doc_id", "doc_length"]
+        ).combine_chunks().sort_by("doc_id")
+        self._init_state(dic, dl["doc_id"].to_numpy(), dl["doc_length"].to_numpy(),
+                         self.stats["num_docs"], self.stats["avgdl"], build_bktree)
 
+    def _init_state(self, dic, dl_ids: np.ndarray, dl: np.ndarray,
+                    num_docs: int, avgdl: float, build_bktree: bool) -> None:
+        """The in-memory serving state over a term-sorted (term, term_id,
+        df) table and doc-id-sorted doc lengths, wherever they were loaded
+        from (one index dir here, a segment set in query/segmented.py)."""
+        self.num_docs: int = num_docs
+        self.avgdl: float = avgdl
         # dictionary: term → (term_id, df). Representation per
         # config.dict_repr: "front_coded" = the reference's blocked
         # string-dict (string_in_memory_dict.rs, J2 — several times smaller
         # per serving actor, the at-scale default); "hash" = MapInMemoryDict
         # equivalent (map_in_memory_dict.rs:4-22)
-        dic = pq.read_table(
-            self.paths.dictionary, columns=["term", "term_id", "df"]
-        ).combine_chunks().sort_by("term")
         terms = dic["term"].to_pylist()
         tids = dic["term_id"].to_pylist()
         dfs = dic["df"].to_pylist()
@@ -169,26 +195,17 @@ class SearchEngine:
         self._lookup_memo_cap = 65536
         self._n_terms = len(terms)
 
-        # doc lengths + urls indexed by doc_id (sorted arrays + searchsorted;
-        # doc_ids are dense 1..N from zip_with_index but we stay robust)
-        dl = pq.read_table(
-            self.paths.doc_lengths, columns=["doc_id", "doc_length"]
-        ).combine_chunks().sort_by("doc_id")
-        self._dl_ids = dl["doc_id"].to_numpy().astype(np.int64)
-        self._dl = dl["doc_length"].to_numpy().astype(np.int64)
+        self._dl_ids = np.asarray(dl_ids).astype(np.int64)
+        self._dl = np.asarray(dl).astype(np.int64)
 
         # fuzzy lookup (my_bk_tree/mod.rs:3-26; built from all dictionary
         # terms like index_metadata.rs:33-35, one tree level per batched
         # Levenshtein call)
         self.bktree = BKTree(terms) if build_bktree else None
 
-        # term-addressed postings access (the reference's term → block_ids
-        # map, index_metadata.rs:3-48, as shard hash + footer ranges) +
         # small decoded-postings cache: term → [postings, BM25 weights or
         # None], FIFO-evicted at _cache_cap (see postings_entry); postings
         # hold positions only once a positional mode has asked for them
-        n_shards = (self.stats.get("config") or {}).get("index_shards")
-        self.locator = PostingsLocator(self.paths.postings, n_shards)
         self._cache: dict[str, list] = {}
         self._cache_cap = 1024
 
@@ -213,9 +230,21 @@ class SearchEngine:
             self._lookup_memo[term] = out
         return out
 
+    def vocabulary(self) -> tuple[list[str], np.ndarray]:
+        """(every dictionary term ascending, its df) — the vocabulary the
+        engine already holds, whatever its representation."""
+        if self._sdict is not None:
+            return list(self._sdict), self._sdict.dfs
+        return self._sorted_terms, np.asarray(self._sorted_dfs, np.int64)
+
     def doc_length(self, doc_ids: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._dl_ids, doc_ids)
         return self._dl[np.clip(idx, 0, len(self._dl) - 1)]
+
+    def _doc_length_of(self, doc_id: int) -> int:
+        """Scalar doc_length — the per-doc lookup WAND cursors call."""
+        i = int(np.searchsorted(self._dl_ids, doc_id))
+        return int(self._dl[min(i, len(self._dl) - 1)])
 
     def doc_urls(self, doc_ids) -> list[str]:
         """doc_id → url (the reference's DocumentMetadata.doc_url,
@@ -223,8 +252,7 @@ class SearchEngine:
         ranked retrieval never needs it, so the serving hot path stays
         url-free."""
         if not hasattr(self, "_url_ids"):
-            t = pq.read_table(self.paths.docs, columns=["doc_id", "url"]) \
-                  .combine_chunks().sort_by("doc_id")
+            t = self._url_table().combine_chunks().sort_by("doc_id")
             self._url_ids = t["doc_id"].to_numpy().astype(np.int64)
             self._urls = t["url"].to_pylist()
         ids = np.asarray(doc_ids, np.int64)
@@ -234,6 +262,10 @@ class SearchEngine:
             i = int(min(i, len(self._urls) - 1))
             out.append(self._urls[i] if self._url_ids[i] == want else None)
         return out
+
+    def _url_table(self):
+        """(doc_id, url) rows of every doc, in any order."""
+        return pq.read_table(self.paths.docs, columns=["doc_id", "url"])
 
     #: WAND never touches positions — pos_gaps/pos_lens are often the
     #: majority of index bytes, so the cursor feed prunes them at the read
@@ -256,8 +288,12 @@ class SearchEngine:
         reading lean postings (see :func:`postings_entry`)."""
         if self.lookup(term) is None:
             return None
-        return postings_entry(self._cache, self._cache_cap, self.locator,
+        return postings_entry(self._cache, self._cache_cap, self._read_postings,
                               term, positions)[0]
+
+    def _read_postings(self, term: str, positions: bool) -> TermPostings:
+        """A cache miss's read: the postings of ``term`` in this index."""
+        return read_postings(self.locator, term, positions)
 
     def bm25_postings(self, term: str) -> tuple[TermPostings, np.ndarray] | None:
         """(postings, BM25 weight per posting) of an indexed term with
@@ -266,17 +302,20 @@ class SearchEngine:
         skips the doc-length lookup and the weight arithmetic; they are
         elementwise, so a masked slice equals the weights of the masked
         postings bit for bit. A miss reads and caches lean postings (no
-        positions); positional modes take theirs from :meth:`get_postings`."""
-        if self.lookup(term) is None:
+        positions); positional modes take theirs from :meth:`get_postings`.
+        df is the dictionary's (see :meth:`lookup`), which on a segment set
+        still counts deleted docs."""
+        meta = self.lookup(term)
+        if meta is None:
             return None
-        ent = postings_entry(self._cache, self._cache_cap, self.locator,
+        ent = postings_entry(self._cache, self._cache_cap, self._read_postings,
                              term, positions=False)
         if ent[0].df == 0:
             return None
         tp, w = ent
         if w is None:
             w = bm25_weights(
-                tp.tfs, self.doc_length(tp.doc_ids), tp.df, self.num_docs,
+                tp.tfs, self.doc_length(tp.doc_ids), meta[1], self.num_docs,
                 self.avgdl, self.config.bm25_k1, self.config.bm25_b,
             )
             w.flags.writeable = False
@@ -333,11 +372,12 @@ class SearchEngine:
         if any(m is None for m in metas):
             return np.zeros(0, np.int64)
         order = sorted(range(len(terms)), key=lambda i: metas[i][1])
-        docs = self.get_postings(terms[order[0]]).doc_ids
+        docs = self.get_postings(terms[order[0]], positions=False).doc_ids
         for i in order[1:]:
             if len(docs) == 0:
                 break
-            docs = np.intersect1d(docs, self.get_postings(terms[i]).doc_ids, assume_unique=True)
+            docs = np.intersect1d(docs, self.get_postings(terms[i], positions=False).doc_ids,
+                                  assume_unique=True)
         return docs
 
     def boolean_or(self, query: str) -> np.ndarray:
@@ -348,7 +388,7 @@ class SearchEngine:
         edit-distance term sets)."""
         docs = []
         for t in self.query_terms(query):
-            tp = self.get_postings(t)
+            tp = self.get_postings(t, positions=False)
             if tp is not None:
                 docs.append(tp.doc_ids)
         if not docs:
@@ -363,14 +403,15 @@ class SearchEngine:
         oracle-SQL parity mode (DuckDB computes in doubles)."""
         doc_parts, score_parts = [], []
         for t in self.query_terms(query):
-            tp = self.get_postings(t)
-            if tp is None or tp.df == 0:
+            tp = self.get_postings(t, positions=False)
+            if tp is None:
                 continue
+            df = self.lookup(t)[1]
             doc_parts.append(tp.doc_ids)
             if dtype == np.float32:
-                w = tfidf_weights(tp.tfs, tp.df, self.num_docs)
+                w = tfidf_weights(tp.tfs, df, self.num_docs)
             else:
-                w = tp.tfs.astype(np.float64) * np.log10(float(self.num_docs) / float(tp.df))
+                w = tp.tfs.astype(np.float64) * np.log10(float(self.num_docs) / float(df))
             score_parts.append(w)
         if not doc_parts:
             return []
@@ -563,7 +604,7 @@ class SearchEngine:
         round-4 window) can be matched exactly; None keeps raw f64 order.
 
         The greedy is vectorized (docattrs.capped_prefix, shared with the
-        segmented and distributed twins): one lexsort for the order, one
+        distributed twin): one lexsort for the order, one
         stable group-split for within-group occurrence indexes — no
         Python loop over candidates."""
         from search_engine_ray.query.docattrs import capped_prefix, codes_for
@@ -696,12 +737,13 @@ class SearchEngine:
         for t in self.query_terms(query):
             tp = self.get_postings(t)  # positional: the pairs need positions
             if tp is not None and tp.df:
-                got.append((tp, self.bm25_postings(t)[1]))
+                got.append((tp, self.bm25_postings(t)[1],
+                            bm25_idf(self.lookup(t)[1], self.num_docs)))
         if not got:
             return []
-        doc_parts = [tp.doc_ids for tp, _w in got]
-        score_parts = [w for _tp, w in got]
-        tps = [(tp, bm25_idf(tp.df, self.num_docs)) for tp, _w in got]
+        doc_parts = [tp.doc_ids for tp, _w, _idf in got]
+        score_parts = [w for _tp, w, _idf in got]
+        tps = [(tp, idf) for tp, _w, idf in got]
 
         from search_engine_ray.query.postings_codec import ragged_slices
 
@@ -760,10 +802,6 @@ class SearchEngine:
         from search_engine_ray.query.scoring import bm25_idf
         from search_engine_ray.query.wand import TermCursor
 
-        def dl_of(doc_id: int) -> int:
-            i = int(np.searchsorted(self._dl_ids, doc_id))
-            return int(self._dl[min(i, len(self._dl) - 1)])
-
         cursors = []
         for t in self.query_terms(query):
             meta = self.lookup(t)
@@ -779,7 +817,7 @@ class SearchEngine:
                     self.config.bm25_k1,
                     self.config.bm25_b,
                     self.avgdl,
-                    dl_of,
+                    self._doc_length_of,
                 )
             )
         return cursors
@@ -824,7 +862,7 @@ class SearchEngine:
         if not words:
             return np.zeros(0, np.int64)
         if len(words) == 1:
-            tp = self.get_postings(words[0])
+            tp = self.get_postings(words[0], positions=False)
             return tp.doc_ids if tp else np.zeros(0, np.int64)
         tps = []
         for w in words:
@@ -865,10 +903,12 @@ class SearchEngine:
         deliberately stores no text). Per-doc work is O(positions of the
         query terms in that doc)."""
         terms = self.query_terms(query)
+        # positional first, so the ranking below hits these cache entries
+        # instead of reading lean postings it would then re-read
+        tps = [self.get_postings(t) for t in terms]
         hits = self.bm25_topk(query, k)
         if not hits or not terms:
             return []
-        tps = [self.get_postings(t) for t in terms]
         out = []
         for doc_id, score in hits:
             pos_lists = []
@@ -1010,7 +1050,8 @@ class SearchEngine:
 
     def fuzzy_boolean(self, term: str, edit_distance: int) -> np.ndarray:
         """Docs containing ANY term within edit_distance (fuzzy OR)."""
-        docs = [self.get_postings(t).doc_ids for t in self.fuzzy(term, edit_distance)]
+        docs = [self.get_postings(t, positions=False).doc_ids
+                for t in self.fuzzy(term, edit_distance)]
         if not docs:
             return np.zeros(0, np.int64)
         return np.unique(np.concatenate(docs))
@@ -1023,8 +1064,7 @@ class SearchEngine:
         if getattr(self, "_kgram", None) is None:
             from search_engine_ray.query.kgram import KGramIndex
 
-            dic = pq.read_table(self.paths.dictionary, columns=["term"])
-            self._kgram = KGramIndex(sorted(dic["term"].to_pylist()))
+            self._kgram = KGramIndex(self.vocabulary()[0])
         return self._kgram
 
     def wildcard_terms(self, pattern: str) -> list[str]:
@@ -1037,7 +1077,8 @@ class SearchEngine:
     def wildcard_boolean(self, pattern: str) -> np.ndarray:
         """Docs containing ANY term matching the wildcard pattern
         (wildcard OR — the retrieval shape of fuzzy_boolean)."""
-        docs = [self.get_postings(t).doc_ids for t in self.wildcard_terms(pattern)]
+        docs = [self.get_postings(t, positions=False).doc_ids
+                for t in self.wildcard_terms(pattern)]
         if not docs:
             return np.zeros(0, np.int64)
         return np.unique(np.concatenate(docs))
@@ -1071,16 +1112,16 @@ class SearchEngine:
         term are never competitive at practical mu). float64 end to end so
         the DuckDB oracle reproduces scores exactly; ties break by
         ascending doc_id per the engine-wide top-k contract."""
-        tps = [(t, self.get_postings(t)) for t in self.query_terms(query)]
-        tps = [(t, tp) for t, tp in tps if tp is not None and tp.df > 0]
+        tps = [tp for tp in (self.get_postings(t, positions=False)
+                             for t in self.query_terms(query)) if tp is not None]
         if not tps:
             return []
         T = float(self._dl.sum())
-        cand = np.unique(np.concatenate([tp.doc_ids for _, tp in tps]))
+        cand = np.unique(np.concatenate([tp.doc_ids for tp in tps]))
         dl = self.doc_length(cand).astype(np.float64)
         scores = np.zeros(len(cand), np.float64)
-        for _, tp in tps:
-            p_bg = mu * float(tp.tfs.sum()) / T
+        for tp in tps:
+            p_bg = mu * float(tp.ctf) / T
             tf = np.zeros(len(cand), np.float64)
             tf[np.searchsorted(cand, tp.doc_ids)] = tp.tfs
             scores += np.log((tf + p_bg) / (dl + mu))
@@ -1115,7 +1156,7 @@ class SearchEngine:
             return cand
 
         for t in pq_.must:
-            tp = self.get_postings(t)
+            tp = self.get_postings(t, positions=False)
             if tp is None:
                 return []
             if len(narrow(tp.doc_ids)) == 0:
@@ -1124,14 +1165,14 @@ class SearchEngine:
             if len(narrow(self.phrase(ph))) == 0:
                 return []
         if cand is None:
-            parts = [tp.doc_ids for tp in map(self.get_postings, score_terms)
-                     if tp is not None]
+            parts = [tp.doc_ids for tp in (self.get_postings(t, positions=False)
+                                           for t in score_terms) if tp is not None]
             if not parts:
                 return []
             cand = np.unique(np.concatenate(parts))
         if pq_.must_not:
-            neg = [tp.doc_ids for tp in map(self.get_postings, pq_.must_not)
-                   if tp is not None]
+            neg = [tp.doc_ids for tp in (self.get_postings(t, positions=False)
+                                         for t in pq_.must_not) if tp is not None]
             if neg:
                 cand = np.setdiff1d(cand, np.unique(np.concatenate(neg)),
                                     assume_unique=True)

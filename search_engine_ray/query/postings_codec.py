@@ -38,10 +38,19 @@ class TermPostings:
     # offsets None on lean postings
     pos_offsets: np.ndarray | None
     pos_values: np.ndarray
+    # tf total of postings dropped from this list whose docs collection
+    # statistics still count (a segment set's deleted docs)
+    dropped_tf: int = 0
 
     @property
     def df(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def ctf(self) -> int:
+        """Collection frequency: the term's tf total, dropped postings
+        included."""
+        return int(self.tfs.sum()) + self.dropped_tf
 
     def positions_of(self, i: int) -> np.ndarray:
         if self.pos_offsets is None:

@@ -26,7 +26,7 @@ import ray
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.tokenizer import Tokenizer
 from search_engine_ray.pipelines.build import IndexPaths, load_stats
-from search_engine_ray.query.engine import postings_entry
+from search_engine_ray.query.engine import postings_entry, read_postings
 from search_engine_ray.query.locator import PostingsLocator
 from search_engine_ray.query.scoring import bm25_weights, topk_docs
 
@@ -191,8 +191,11 @@ class ShardServingActor:
         return self._bktree.find(key, edit_distance)
 
     def _postings(self, term: str, positions: bool = False):
-        return postings_entry(self._cache, self._cache_cap, self.locator,
+        return postings_entry(self._cache, self._cache_cap, self._read_postings,
                               term, positions)[0]
+
+    def _read_postings(self, term: str, positions: bool):
+        return read_postings(self.locator, term, positions)
 
     def attr_codes(self, name: str, doc_ids) -> np.ndarray:
         """Attribute codes for the given docs (-1 = unregistered), used by

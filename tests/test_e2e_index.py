@@ -753,3 +753,57 @@ def test_bm25_miss_goes_through_traced_hooks(built, monkeypatch):
     assert eng.bm25_topk("alpha beta", 10) == oracle.bm25_topk("alpha beta", 10)
     assert calls == {"read": 2, "decode": 2, "weights": 2, "topk": 1}
     assert positions == [0, 0]
+
+
+class TestLeanReadsPerMode:
+    """On a cold cache, the modes that use only doc ids and tfs read only
+    ``LEAN_COLUMNS``; the positional ones read every column."""
+
+    LEAN = [
+        ("boolean_and", ("alpha beta",)),
+        ("boolean_or", ("alpha beta",)),
+        ("tfidf_topk", ("alpha beta",)),
+        ("ql_topk", ("alpha beta",)),
+        ("fuzzy_boolean", ("alpah", 2)),
+        ("wildcard_boolean", ("al*",)),
+        ("phrase", ("alpha",)),
+        ("search", ("alpha +beta -gamma",)),
+        ("search", ("common word -fox",)),
+    ]
+    POSITIONAL = [
+        ("phrase", ("alpha beta",)),
+        ("snippets", ("alpha beta",)),
+        ("bm25_prox_topk", ("alpha beta",)),
+    ]
+
+    @staticmethod
+    def _cold(built):
+        engine, _oracle, paths = built
+        eng = SearchEngine(paths.out_dir, engine.config)
+        reads = []
+        read = eng.locator.read
+
+        def recording_read(term, columns=None):
+            reads.append((term, columns))
+            return read(term, columns=columns)
+
+        eng.locator.read = recording_read
+        return eng, engine, reads
+
+    @pytest.mark.parametrize("mode,args", LEAN)
+    def test_lean_modes_read_lean_columns(self, built, mode, args):
+        from search_engine_ray.query.postings_codec import LEAN_COLUMNS
+
+        eng, engine, reads = self._cold(built)
+        np.testing.assert_equal(getattr(eng, mode)(*args),
+                                getattr(engine, mode)(*args))
+        assert reads and all(cols == LEAN_COLUMNS for _t, cols in reads), reads
+        if mode == "search" and "-" in args[0]:
+            assert args[0].rsplit("-", 1)[1] in {t for t, _c in reads}
+
+    @pytest.mark.parametrize("mode,args", POSITIONAL)
+    def test_positional_modes_read_all_columns(self, built, mode, args):
+        eng, engine, reads = self._cold(built)
+        np.testing.assert_equal(getattr(eng, mode)(*args),
+                                getattr(engine, mode)(*args))
+        assert reads and all(cols is None for _t, cols in reads), reads

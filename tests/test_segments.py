@@ -496,3 +496,259 @@ class TestSegmentedDSL:
                 f'{seed}* fox', 'alpha +beta -gamma "alpha beta"']
         for q in dsls:
             assert seg.search(q, 10) == full.search(q, 10), q
+
+
+DELETED = [5, 12, 20]  # "the quick brown fox…", "common common…", a filler
+
+
+def _drop(rows, k, deleted=DELETED):
+    """Rows of a monolithic run (doc id first), deleted docs removed, cut
+    to k."""
+    return [r for r in rows if r[0] not in deleted][:k]
+
+
+class TestTombstoneOracle:
+    """With docs deleted, every segmented mode equals the monolithic result
+    with those docs removed: a ranked mode equals the monolithic k=1000
+    list filtered and cut to k, a doc-set mode the set difference. Stats
+    (N, avgdl, df, ctf) keep counting the deleted docs, as the monolithic
+    index does."""
+
+    K = 5
+
+    @pytest.fixture()
+    def deleted(self, built):
+        import os
+
+        full, _seg, root, _fd = built
+        delete_docs(root, DELETED)
+        try:
+            yield full, SegmentedSearchEngine(root, CFG, build_bktree=True), root
+        finally:
+            os.remove(os.path.join(root, "tombstones.json"))
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_ranked_modes(self, deleted, q):
+        full, seg, _root = deleted
+        k = self.K
+        # WAND/MAXSCORE equal exhaustive BM25 by contract
+        for mode, ref in (("bm25_topk", "bm25_topk"), ("tfidf_topk", "tfidf_topk"),
+                          ("bm25_topk_wand", "bm25_topk"),
+                          ("bm25_topk_maxscore", "bm25_topk"), ("ql_topk", "ql_topk"),
+                          ("bm25_prox_topk", "bm25_prox_topk"), ("snippets", "snippets")):
+            want = getattr(full, ref)(q, 1000)
+            assert getattr(seg, mode)(q, k) == _drop(want, k), (mode, q)
+        assert (seg.tfidf_topk(q, k, dtype=np.float64)
+                == _drop(full.tfidf_topk(q, 1000, dtype=np.float64), k))
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_attribute_modes(self, deleted, q):
+        full, seg, _root = deleted
+        k = self.K
+        ids = np.arange(1, full.num_docs + 1)
+        par = ["x" if i % 2 else "y" for i in ids]
+        grp = [f"s{i % 3}" for i in ids]
+        sz = (ids * 13) % 47
+        for eng in (full, seg):
+            eng.set_doc_attr("tomb_par", ids, par)
+            eng.set_doc_attr("tomb_grp", ids, grp)
+            eng.set_doc_sort_attr("tomb_sz", ids, sz)
+        for allowed in [("x",), ("x", "y")]:
+            assert (seg.bm25_topk_filtered(q, k, attr="tomb_par", allowed=allowed)
+                    == _drop(full.bm25_topk_filtered(
+                        q, 1000, attr="tomb_par", allowed=allowed), k))
+        assert (seg.bm25_topk_range(q, k, attr="tomb_sz", lo=5, hi=30)
+                == _drop(full.bm25_topk_range(q, 1000, attr="tomb_sz",
+                                              lo=5, hi=30), k))
+        for desc in (True, False):
+            assert (seg.bm25_topk_sorted(q, k, attr="tomb_sz", descending=desc)
+                    == _drop(full.bm25_topk_sorted(
+                        q, 1000, attr="tomb_sz", descending=desc), k))
+        # capped: the greedy over the surviving ranked list, by hand
+        kept, per = [], {}
+        for d, s in _drop(full.bm25_topk(q, 1000), 1000):
+            g = grp[d - 1]
+            if per.get(g, 0) < 2:
+                per[g] = per.get(g, 0) + 1
+                kept.append((d, s))
+        assert seg.bm25_topk_capped(q, k, attr="tomb_grp", cap=2) == kept[:k]
+
+    def test_dsl_and_more_like_this(self, deleted):
+        full, seg, _root = deleted
+        k = self.K
+        seed = full.kgram.terms[0][:2]
+        for q in ['common +word', '+common -fox', '"quick brown"',
+                  f'{seed}* fox', 'alpha +beta -gamma "alpha beta"', "comon~"]:
+            assert seg.search(q, k) == _drop(full.search(q, 1000), k), q
+        for exclude in (None, 13):
+            assert (seg.more_like_this(TEXTS[11], k, exclude=exclude)
+                    == _drop(full.more_like_this(TEXTS[11], 1000,
+                                                 exclude=exclude), k))
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_doc_set_modes(self, deleted, q):
+        full, seg, _root = deleted
+
+        def minus(docs):
+            return np.setdiff1d(docs, DELETED)
+
+        np.testing.assert_array_equal(seg.boolean_and(q), minus(full.boolean_and(q)))
+        np.testing.assert_array_equal(seg.boolean_or(q), minus(full.boolean_or(q)))
+        np.testing.assert_array_equal(seg.phrase(q), minus(full.phrase(q)))
+        for slop in (0, 2):
+            np.testing.assert_array_equal(seg.ordered_window(q, slop),
+                                          minus(full.ordered_window(q, slop)))
+        for w in (2, 5):
+            np.testing.assert_array_equal(seg.within_window(q, w),
+                                          minus(full.within_window(q, w)))
+        np.testing.assert_array_equal(seg.boolean_and_not(q, "fox"),
+                                      minus(full.boolean_and_not(q, "fox")))
+        words = q.split()
+        if len(words) >= 2:
+            assert (seg.proximity(words[0], words[1], 3)
+                    == _drop(full.proximity(words[0], words[1], 3), 1000))
+
+    def test_wildcard_and_fuzzy_terms(self, deleted):
+        full, seg, _root = deleted
+        for p in ("co*", "*er", "fi*", "zzz*"):
+            assert seg.wildcard_terms(p) == full.wildcard_terms(p)
+            np.testing.assert_array_equal(
+                seg.wildcard_boolean(p), np.setdiff1d(full.wildcard_boolean(p), DELETED))
+        for probe, d in (("comon", 1), ("quik", 1), ("wrold", 2)):
+            assert seg.fuzzy(probe, d) == full.fuzzy(probe, d)
+
+    def test_refresh_tombstones_after_cached_query(self, deleted):
+        full, seg, root = deleted
+        q = "common word"
+        assert seg.bm25_topk(q, 100) == _drop(full.bm25_topk(q, 1000), 100)
+        assert 13 in seg.boolean_or(q)
+        delete_docs(root, [13])
+        seg.refresh_tombstones()
+        gone = DELETED + [13]
+        assert seg.bm25_topk(q, 100) == _drop(full.bm25_topk(q, 1000), 100, gone)
+        assert 13 not in seg.boolean_or(q)
+        assert 13 not in seg.phrase(q)
+
+
+class TestInterleavedSegments:
+    """A subset merge whose id intervals interleave with a kept segment's:
+    doc-set modes still return doc ids ascending, exactly as the
+    monolithic index does."""
+
+    @pytest.fixture(scope="class")
+    def interleaved(self, tmp_path_factory, ray_session):
+        root = str(tmp_path_factory.mktemp("interleaved"))
+        for i in range(5):
+            add_segment(_pages(TEXTS[6 * i:6 * (i + 1)], 6 * i), root, CFG)
+        compact(root, CFG, names=["seg-00000", "seg-00001", "seg-00002",
+                                  "seg-00004"])
+        return SegmentedSearchEngine(root, CFG)
+
+    @pytest.mark.parametrize("q", ["filler doc"] + QUERIES)
+    def test_doc_sets_equal_monolithic_unsorted(self, built, interleaved, q):
+        full = built[0]
+        seg = interleaved
+        assert seg.phrase(q).tolist() == full.phrase(q).tolist()
+        for slop in (0, 2):
+            assert (seg.ordered_window(q, slop).tolist()
+                    == full.ordered_window(q, slop).tolist())
+        for w in (2, 5):
+            assert (seg.within_window(q, w).tolist()
+                    == full.within_window(q, w).tolist())
+        assert seg.boolean_and(q).tolist() == full.boolean_and(q).tolist()
+        assert seg.boolean_or(q).tolist() == full.boolean_or(q).tolist()
+        words = q.split()
+        if len(words) >= 2:
+            assert (seg.proximity(words[0], words[1], 3)
+                    == full.proximity(words[0], words[1], 3))
+        assert seg.bm25_topk(q, 10) == full.bm25_topk(q, 10)
+        assert seg.bm25_topk_wand(q, 10) == seg.bm25_topk(q, 10)
+
+
+class TestModesGainedBySegments:
+    """Modes the segment set serves through the shared query layer, each
+    equal to the monolithic engine over the same docs."""
+
+    @pytest.fixture(scope="class")
+    def engines(self, built):
+        full, _seg, root, _fd = built
+        return full, SegmentedSearchEngine(root, CFG, build_bktree=True)
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_ranked_modes(self, engines, q):
+        full, seg = engines
+        for m in (1, 2, 3):
+            assert seg.bm25_topk_msm(q, 10, min_match=m) == \
+                full.bm25_topk_msm(q, 10, min_match=m)
+        assert seg.bm25_topk_blended(q, 10) == full.bm25_topk_blended(q, 10)
+
+        def fetch(ids):
+            return [TEXTS[i - 1] for i in ids]
+
+        assert seg.bm25_prf(q, fetch, 10) == full.bm25_prf(q, fetch, 10)
+        ids = np.arange(1, full.num_docs + 1)
+        grp = [f"g{i % 4}" for i in ids]
+        for eng in (full, seg):
+            eng.set_doc_attr("gain_grp", ids, grp)
+        assert (seg.bm25_topk_grouped(q, 2, attr="gain_grp")
+                == full.bm25_topk_grouped(q, 2, attr="gain_grp"))
+
+    def test_spelling_modes(self, engines):
+        full, seg = engines
+        for q in ("quik brwn", "helo wrold", "common", "zzzzq", "aple"):
+            assert seg.bm25_topk_corrected(q, 10) == full.bm25_topk_corrected(q, 10)
+        for t in ("helo", "wrold", "comon", "zzzzq", "quick"):
+            for d in (1, 2):
+                assert seg.suggest(t, d) == full.suggest(t, d)
+                np.testing.assert_array_equal(seg.fuzzy_boolean(t, d),
+                                              full.fuzzy_boolean(t, d))
+        for p in ("co", "a", "qu", "f", "zz", ""):
+            assert seg.prefix_search(p, 5) == full.prefix_search(p, 5)
+
+    def test_index_access(self, engines):
+        from search_engine_ray.query.postings_codec import decode_term_chunks
+
+        full, seg = engines
+        assert seg.num_terms == full.num_terms
+        assert seg.vocabulary()[0] == full.vocabulary()[0]
+        np.testing.assert_array_equal(seg.vocabulary()[1], full.vocabulary()[1])
+        for t in ("common", "alpha", "filler", "nonexistentterm"):
+            assert seg.lookup(t) == full.lookup(t)
+            chunks = seg.get_chunks(t)
+            if chunks is None:
+                assert full.get_chunks(t) is None
+                continue
+            np.testing.assert_array_equal(decode_term_chunks(chunks).doc_ids,
+                                          full.get_postings(t).doc_ids)
+        ids = [1, 13, 14, 30]
+        assert seg.doc_urls(ids) == full.doc_urls(ids)
+
+    def test_bm25f_over_segments(self, engines):
+        from search_engine_ray.query.fields import bm25f_topk
+
+        full, seg = engines
+        for q in QUERIES:
+            assert (bm25f_topk({"body": seg}, {"body": 1.5}, q, 10)
+                    == bm25f_topk({"body": full}, {"body": 1.5}, q, 10))
+
+
+def test_cli_query_serves_a_segment_root(built):
+    """``query --index ROOT`` opens the segment set when ROOT holds
+    segments.json — the same modes, results and urls as the monolithic
+    index."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    full, _seg, root, _fd = built
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "search_engine_ray", "--num-cpus", "1", "query",
+         "--index", root, "--mode", "bm25", "--k", "5", "common", "word"],
+        cwd=repo, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    doc = json.loads(run.stdout.strip().splitlines()[-1])
+    want = full.bm25_topk("common word", 5)
+    assert [tuple(r) for r in doc["results"]] == want
+    assert doc["urls"] == full.doc_urls([d for d, _s in want])
