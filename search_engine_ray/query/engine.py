@@ -28,7 +28,12 @@ from search_engine_ray.query.postings_codec import (
     TermPostings,
     decode_term_chunks,
 )
-from search_engine_ray.query.scoring import bm25_weights, tfidf_weights, topk_docs
+from search_engine_ray.query.scoring import (
+    TopkScratch,
+    bm25_weights,
+    tfidf_weights,
+    topk_docs,
+)
 
 
 def _min_cover_window(pos_lists: list[np.ndarray]) -> tuple[int, int, int]:
@@ -197,6 +202,8 @@ class SearchEngine:
 
         self._dl_ids = np.asarray(dl_ids).astype(np.int64)
         self._dl = np.asarray(dl).astype(np.int64)
+        # per-doc top-k buffers, allocated on the first ranked query
+        self._scratch = TopkScratch(int(self._dl_ids[-1]) + 1 if len(self._dl_ids) else 0)
 
         # fuzzy lookup (my_bk_tree/mod.rs:3-26; built from all dictionary
         # terms like index_metadata.rs:33-35, one tree level per batched
@@ -416,7 +423,8 @@ class SearchEngine:
         if not doc_parts:
             return []
         ids, scores = topk_docs(
-            np.concatenate(doc_parts), np.concatenate(score_parts).astype(dtype), k
+            np.concatenate(doc_parts), np.concatenate(score_parts).astype(dtype), k,
+            scratch=self._scratch,
         )
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
@@ -430,7 +438,8 @@ class SearchEngine:
         doc_parts, score_parts = self._bm25_parts(terms)
         if not doc_parts:
             return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
+        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
+                                scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     def _bm25_parts(self, terms) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -468,7 +477,7 @@ class SearchEngine:
         pos = np.searchsorted(keep, docs)
         pos[pos >= len(keep)] = 0
         mask = keep[pos] == docs
-        ids, scores = topk_docs(docs[mask], sc[mask], k)
+        ids, scores = topk_docs(docs[mask], sc[mask], k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     # ---------------------------------------------------------------- filtered
@@ -523,7 +532,7 @@ class SearchEngine:
         if not doc_parts:
             return []
         ids, scores = topk_docs(np.concatenate(doc_parts),
-                                np.concatenate(score_parts), k)
+                                np.concatenate(score_parts), k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     def bm25_topk_sorted(self, query: str, k: int = 10, *, attr: str,
@@ -540,14 +549,8 @@ class SearchEngine:
         doc_parts, score_parts = self._bm25_parts(self.query_terms(query))
         if not doc_parts:
             return []
-        # per-doc bm25 accumulated PER TERM (left-to-right in term order —
-        # the same float association as topk_docs / the distributed
-        # coordinator; np.add.reduceat associates differently in the last
-        # ulp, which would break cross-path bit parity)
-        uniq = np.unique(np.concatenate(doc_parts))
-        bm25 = np.zeros(len(uniq), np.float64)
-        for d_t, w_t in zip(doc_parts, score_parts):
-            bm25[np.searchsorted(uniq, d_t)] += w_t
+        uniq, bm25 = self._scratch.accumulate(np.concatenate(doc_parts),
+                                              np.concatenate(score_parts))
         from search_engine_ray.query.docattrs import numeric_attr_probe
 
         present, vals = numeric_attr_probe(self._doc_sort_attrs[attr], uniq)
@@ -587,7 +590,8 @@ class SearchEngine:
             score_parts.append(w[keep])
         if not doc_parts:
             return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
+        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
+                                scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     def bm25_topk_capped(self, query: str, k: int = 10, *, attr: str,
@@ -769,7 +773,7 @@ class SearchEngine:
                 doc_parts.append(tpb.doc_ids[ib])
                 score_parts.append(w * (idf_a + idf_b) / (md * md))
         ids, scores = topk_docs(np.concatenate(doc_parts),
-                                np.concatenate(score_parts), k)
+                                np.concatenate(score_parts), k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     def bm25_topk_wand(self, query: str, k: int = 10) -> list[tuple[int, float]]:
@@ -848,7 +852,8 @@ class SearchEngine:
             score_parts.append(got[1] * w)
         if not doc_parts:
             return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k)
+        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
+                                scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     # ------------------------------------------------------------------ phrase
@@ -1125,7 +1130,7 @@ class SearchEngine:
             tf = np.zeros(len(cand), np.float64)
             tf[np.searchsorted(cand, tp.doc_ids)] = tp.tfs
             scores += np.log((tf + p_bg) / (dl + mu))
-        ids, sc = topk_docs(cand, scores, k)
+        ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, sc)]
 
     # ------------------------------------------------------------------ DSL
@@ -1189,5 +1194,5 @@ class SearchEngine:
             hit = (idx < len(cand)) & (
                 cand[np.minimum(idx, len(cand) - 1)] == tp.doc_ids)
             scores[idx[hit]] += w[hit]
-        ids, sc = topk_docs(cand, scores, k)
+        ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, sc)]

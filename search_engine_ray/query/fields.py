@@ -43,6 +43,8 @@ def bm25f_topk(engines: dict, weights: dict[str, float], query: str,
             score_parts.append(w * got[1])
     if not doc_parts:
         return []
+    # one doc space, so the first field engine's top-k buffers serve all
     ids, scores = topk_docs(np.concatenate(doc_parts),
-                            np.concatenate(score_parts), k)
+                            np.concatenate(score_parts), k,
+                            scratch=next(iter(engines.values()))._scratch)
     return [(int(d), float(s)) for d, s in zip(ids, scores)]

@@ -15,6 +15,14 @@ BM25 is the serving default the reference never finished (BASELINE.md):
 parameters frozen at k1=1.2, b=0.75; idf = ln((N - df + 0.5)/(df + 0.5) + 1)
 (the non-negative Robertson/Lucene variant), computed in float64 so the
 DuckDB oracle can reproduce it exactly.
+
+Top-k (:func:`topk_docs`) has one contract and two kernels. The stateless
+one sorts the query's (doc, score) pairs by doc id and is the spec. The
+term-at-a-time one (the reference's per-doc accumulators) adds each
+ascending per-term run into a dense per-doc buffer an engine owns
+(:class:`TopkScratch`), once a query brings enough pairs to amortize its
+per-run numpy calls; it needs doc ids ≥ 0 and returns bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -51,7 +59,70 @@ def bm25_weights(
     return bm25_idf(df, num_docs) * tf * (k1 + 1.0) / denom
 
 
-def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+#: fewest (doc, score) pairs for which topk_docs takes a scratch's dense
+#: path: it pays a few numpy calls per run, so below about this many pairs
+#: (measured crossover 2–3k on 2–8 runs) the one-sort kernel is faster
+_DENSE_MIN_PAIRS = 2048
+
+
+class TopkScratch:
+    """Reusable dense buffers for :func:`topk_docs`' scratch path and for
+    :meth:`accumulate`: one score accumulator per dtype and a ``seen`` mask,
+    both indexed by doc id. Between calls every accumulator is all zero and
+    ``seen`` all False, so a call touches only the entries of its own docs.
+
+    Nothing is allocated until the first call; the buffers then take
+    ``size`` entries, or more when a call brings a larger doc id (they grow
+    to fit). One query at a time: a scratch is not shared across threads."""
+
+    def __init__(self, size: int = 0):
+        self._size = size
+        self.seen = np.zeros(0, bool)
+        self._acc: dict[np.dtype, np.ndarray] = {}
+
+    def accumulate(self, doc_ids: np.ndarray, scores: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """(each distinct doc id once, in first-seen order; its summed score)
+        over unaggregated (doc, score) pairs. Each doc is summed
+        0 + w₁ + w₂ … in ``scores.dtype`` and in input order.
+
+        Doc ids must be ≥ 0. The input is cut where ids stop strictly
+        ascending, and each run is added with one ``acc[ids] += w`` (ids in
+        a strictly ascending run are distinct, so no add is lost). The cost
+        is O(pairs) plus a few numpy calls per run: per-term ascending
+        lists, as every engine passes, make few runs."""
+        n = len(doc_ids)
+        if n == 0:
+            return doc_ids[:0], scores[:0]
+        cuts = np.flatnonzero(doc_ids[1:] <= doc_ids[:-1]) + 1
+        if doc_ids[np.append(0, cuts)].min() < 0:  # run starts are run minima
+            raise ValueError("TopkScratch needs doc ids >= 0")
+        need = int(doc_ids[np.append(cuts - 1, n - 1)].max()) + 1  # run ends
+        if need > len(self.seen):
+            self.seen = np.zeros(max(need, self._size), bool)
+            self._acc.clear()
+        seen = self.seen
+        acc = self._acc.get(scores.dtype)
+        if acc is None:
+            acc = self._acc[scores.dtype] = np.zeros(len(seen), scores.dtype)
+        bounds = [0, *cuts.tolist(), n]
+        fresh = []
+        for a, b in zip(bounds, bounds[1:]):
+            ids = doc_ids[a:b]
+            new = ids[~seen[ids]]
+            seen[new] = True
+            fresh.append(new)
+            acc[ids] += scores[a:b]
+        uniq = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
+        sums = acc[uniq]
+        acc[uniq] = 0
+        seen[uniq] = False
+        return uniq, sums
+
+
+def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
+              scratch: TopkScratch | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k by (score desc, doc_id asc) over unaggregated (doc, score)
     pairs (accumulation pattern of search_engine/mod.rs:57-69).
 
@@ -65,20 +136,31 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarr
       * returns (doc_ids in ``doc_ids.dtype``, scores in ``scores.dtype``);
         empty input or k <= 0 → two empty arrays.
 
-    Doc ids arriving as a few ascending runs (one per query term) make the
-    stable argsort a run merge; the k-th score is found by ``np.partition``
-    and only docs scoring at least that are fully sorted."""
+    Without ``scratch`` (the spec): a stable argsort groups each doc's
+    entries in input order (doc ids arriving as a few ascending runs make
+    it a run merge) and ``np.add.at`` sums them. With an engine-owned
+    :class:`TopkScratch` (doc ids ≥ 0) and at least ``_DENSE_MIN_PAIRS``
+    pairs: the term-at-a-time path — each strictly ascending run of doc
+    ids adds straight into a dense per-doc array
+    (:meth:`TopkScratch.accumulate`), with no sort. Both sum every doc
+    0 + w₁ + w₂ … in input order, so they return bit-identical results,
+    ties and NaN included. Either way the k-th score is found by
+    ``np.partition`` and only docs scoring at least that are fully
+    sorted."""
     if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
-    order = np.argsort(doc_ids, kind="stable")
-    sorted_ids = doc_ids[order]
-    first = np.empty(len(sorted_ids), bool)
-    first[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
-    uniq = sorted_ids[first]
-    agg = np.zeros(len(uniq), scores.dtype)
-    # stable order keeps each doc's entries in input order for add.at
-    np.add.at(agg, np.cumsum(first) - 1, scores[order])
+    if scratch is not None and len(doc_ids) >= _DENSE_MIN_PAIRS:
+        uniq, agg = scratch.accumulate(doc_ids, scores)
+    else:
+        order = np.argsort(doc_ids, kind="stable")
+        sorted_ids = doc_ids[order]
+        first = np.empty(len(sorted_ids), bool)
+        first[0] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+        uniq = sorted_ids[first]
+        agg = np.zeros(len(uniq), scores.dtype)
+        # stable order keeps each doc's entries in input order for add.at
+        np.add.at(agg, np.cumsum(first) - 1, scores[order])
     neg = -agg  # ascending key; NaN sorts last here as in the lexsort
     if k < len(agg):
         kth = np.partition(neg, k - 1)[k - 1]

@@ -27,7 +27,8 @@ likelihood's ctf counts it too.
 
 WAND and MAXSCORE are the one segment-specific code path: one block-max
 TermCursor per (term, segment), fed with the GLOBAL idf/avgdl and the
-segment's own doc lengths. Segment doc ranges are disjoint, so the score
+segment's doc lengths (held once: each segment engine shares the merged
+doc-length arrays). Segment doc ranges are disjoint, so the score
 accumulated at any doc sums exactly its own segment's contributions and
 chunk upper bounds stay admissible. With tombstones both fall back to the
 exhaustive path: a skipped chunk's bound cannot know which docs are deleted.
@@ -112,6 +113,10 @@ class SegmentedSearchEngine(SearchEngine):
         self._init_state(dic, dl_ids, dl, num_docs,
                          (total_tokens / num_docs) if num_docs else 0.0,
                          build_bktree)
+        # doc ids are globally unique, so the merged arrays answer each
+        # segment's own doc-length lookups (the WAND cursors') as well
+        for eng in self.engines:
+            eng._dl_ids, eng._dl = self._dl_ids, self._dl
 
     def refresh_tombstones(self) -> None:
         """Reload the tombstone list; cached postings were filtered by the

@@ -616,6 +616,46 @@ class TestPostingsCacheCoherence:
             assert eng.search(q, 5) == engine.search(q, 5), q
 
 
+class TestDenseTopkRouting:
+    """Every ranked mode returns the same result when its engine's top-k
+    scratch takes the dense path at any input size as with the one-sort
+    kernel, and the scratch is left clean."""
+
+    def test_modes_identical_on_either_kernel(self, built):
+        from unittest import mock
+
+        from search_engine_ray.query import scoring
+        from search_engine_ray.query.fields import bm25f_topk
+
+        engine, oracle, paths = built
+        eng = SearchEngine(paths.out_dir, engine.config, build_bktree=False)
+        ids = np.arange(1, eng.num_docs + 1)
+        eng.set_doc_attr("par", ids, ["even" if i % 2 == 0 else "odd" for i in ids])
+        eng.set_doc_sort_attr("rank", ids, (ids * 7) % 11)
+        modes = [
+            lambda q: eng.bm25_topk(q, 3),
+            lambda q: eng.tfidf_topk(q, 10),
+            lambda q: eng.tfidf_topk(q, 10, dtype=np.float64),
+            lambda q: eng.bm25_topk_msm(q, 10, 2),
+            lambda q: eng.bm25_topk_filtered(q, 5, attr="par", allowed=("odd",)),
+            lambda q: eng.bm25_topk_range(q, 5, attr="rank", lo=2, hi=8),
+            lambda q: eng.bm25_topk_sorted(q, 5, attr="rank"),
+            lambda q: eng.bm25_prox_topk(q, 5),
+            lambda q: eng.bm25_topk_blended(q, 5),
+            lambda q: eng.ql_topk(q, 5),
+            lambda q: eng.search(q, 5),
+            lambda q: bm25f_topk({"a": eng, "b": engine}, {"a": 1.0, "b": 0.5}, q, 5),
+        ]
+        queries = TestPostingsCacheCoherence.CYCLE
+        want = [[m(q) for m in modes] for q in queries]
+        with mock.patch.object(scoring, "_DENSE_MIN_PAIRS", 0):
+            got = [[m(q) for m in modes] for q in queries]
+            for q in queries:
+                assert eng.bm25_topk(q, 3) == oracle.bm25_topk(q, 3), q
+        assert got == want
+        assert len(eng._scratch.seen) > eng.num_docs and not eng._scratch.seen.any()
+
+
 def _prox_spec(oracle, eng, query, w=1.0):
     """bm25_prox_topk from the oracle's postings: BM25 plus, per pair of
     distinct query terms present in a doc, w·(idf_a + idf_b)/md²."""

@@ -336,6 +336,144 @@ class TestTopkDocsProperty:
             _assert_topk_matches_spec(ids, sc, k)
 
 
+def _dense_always():
+    """topk_docs takes a scratch's dense path at any input size."""
+    from unittest import mock
+
+    from search_engine_ray.query import scoring
+
+    return mock.patch.object(scoring, "_DENSE_MIN_PAIRS", 0)
+
+
+def _assert_scratch_matches_stateless(scratch, doc_ids, scores, k):
+    """The scratch path of topk_docs equals the stateless one bit for bit,
+    and leaves every buffer of the scratch clean."""
+    from search_engine_ray.query.scoring import topk_docs
+
+    with _dense_always():
+        got_ids, got_sc = topk_docs(doc_ids, scores, k, scratch=scratch)
+    want_ids, want_sc = topk_docs(doc_ids, scores, k)
+    assert got_ids.dtype == want_ids.dtype and got_sc.dtype == want_sc.dtype
+    np.testing.assert_array_equal(got_ids, want_ids)
+    assert got_sc.tobytes() == want_sc.tobytes(), (got_sc, want_sc)
+    assert not scratch.seen.any()
+    for acc in scratch._acc.values():
+        assert len(acc) == len(scratch.seen)
+        assert acc.tobytes() == bytes(acc.nbytes)  # +0.0 everywhere
+
+
+_any_scores = st.one_of(_tie_scores, _wide_scores, st.just(float("nan")))
+# one topk_docs call: per-term ascending runs (duplicates across runs) or
+# unsorted pairs (many runs, adjacent repeats), ids from 0 up past the
+# scratch's first size
+_runs_call = st.tuples(
+    st.just("runs"),
+    st.lists(st.lists(st.integers(0, 60), unique=True, max_size=25), max_size=8))
+_pairs_call = st.tuples(st.just("pairs"), st.lists(st.integers(0, 60), max_size=60))
+
+
+class TestTopkScratchProperty:
+    """topk_docs with an engine-owned TopkScratch vs the stateless kernel
+    (the spec, itself checked against the add.at spec above)."""
+
+    @given(st.integers(0, 70),
+           st.lists(st.tuples(st.one_of(_runs_call, _pairs_call),
+                              st.sampled_from([np.float32, np.float64]),
+                              st.integers(0, 70)),
+                    min_size=1, max_size=5),
+           st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_reused_scratch_matches_stateless(self, size, calls, data):
+        """One scratch, sized ``size`` and grown on demand, across several
+        calls of either dtype."""
+        from search_engine_ray.query.scoring import TopkScratch
+
+        scratch = TopkScratch(size)
+        for (kind, raw), dtype, k in calls:
+            if kind == "runs":
+                ids = np.array([d for run in raw for d in sorted(run)], np.int64)
+            else:
+                ids = np.array(raw, np.int64)
+            sc = data.draw(st.lists(_any_scores, min_size=len(ids), max_size=len(ids)))
+            _assert_scratch_matches_stateless(scratch, ids, np.array(sc, dtype), k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges(self, dtype):
+        from search_engine_ray.query.scoring import TopkScratch
+
+        scratch = TopkScratch(2)
+        ids = np.array([3, 1, 2, 1, 3, 0], np.int64)
+        sc = np.array([1.0, 0.5, 1.5, 1.0, 0.5, 2.5], dtype)
+        for k in (0, 1, 2, 3, 4, 100):  # k = 0 … k ≥ distinct docs
+            _assert_scratch_matches_stateless(scratch, ids, sc, k)
+        _assert_scratch_matches_stateless(scratch, ids[:0], sc[:0], 5)  # empty
+        _assert_scratch_matches_stateless(  # a tie at the k-th score
+            scratch, np.array([9, 4, 7, 2, 5]), np.array([2, 1, 1, 1, 0.5], dtype), 3)
+        _assert_scratch_matches_stateless(  # NaN sums rank last
+            scratch, np.array([1, 2, 3, 4, 2]),
+            np.array([np.nan, 1.0, 2.0, np.nan, np.nan], dtype), 3)
+
+    def test_sum_is_in_input_order(self):
+        from search_engine_ray.query.scoring import TopkScratch, topk_docs
+
+        scratch = TopkScratch()
+        with _dense_always():
+            ids, sc = topk_docs(np.array([5, 5, 5]), np.array([1e16, 1.0, -1e16]), 1,
+                                scratch=scratch)
+        assert ids.tolist() == [5] and sc.tolist() == [0.0]
+        ids = np.array([5, 8, 2, 5, 5, 9], np.int64)
+        for big in (1e16, 1e8):  # 1e8 + 1 rounds back to 1e8 in float32
+            for dtype in (np.float32, np.float64):
+                sc = np.array([big, 3.0, 0.5, 1.0, -big, 0.25], dtype)
+                for k in range(5):
+                    _assert_scratch_matches_stateless(scratch, ids, sc, k)
+
+    def test_grows_past_its_size_and_doc_id_zero(self):
+        from search_engine_ray.query.scoring import TopkScratch
+
+        scratch = TopkScratch(4)
+        assert len(scratch.seen) == 0  # nothing allocated before first use
+        _assert_scratch_matches_stateless(
+            scratch, np.array([0, 3]), np.array([1.0, 2.0]), 5)
+        assert len(scratch.seen) == 4
+        _assert_scratch_matches_stateless(
+            scratch, np.array([0, 2, 1000, 0, 7]), np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 5)
+        assert len(scratch.seen) == 1001
+
+    def test_accumulate_sums_each_doc_once(self):
+        from search_engine_ray.query.scoring import TopkScratch
+
+        ids = np.array([4, 9, 2, 4, 9, 9], np.int64)
+        sc = np.array([1.0, 2.0, 3.0, 0.5, 0.25, 0.125])
+        uniq, sums = TopkScratch(3).accumulate(ids, sc)
+        assert uniq.tolist() == [4, 9, 2]  # first-seen order
+        assert sums.tolist() == [1.5, 2.375, 3.0]
+
+    def test_negative_doc_ids_are_refused(self):
+        from search_engine_ray.query.scoring import TopkScratch
+
+        with pytest.raises(ValueError):
+            TopkScratch().accumulate(np.array([3, -1]), np.array([1.0, 2.0]))
+
+    def test_dense_path_from_its_input_size_on(self):
+        """Small inputs take the one-sort kernel and leave the scratch
+        unallocated; from ``_DENSE_MIN_PAIRS`` pairs on, the dense path
+        runs. Both give the stateless result."""
+        from search_engine_ray.query.scoring import _DENSE_MIN_PAIRS, TopkScratch, topk_docs
+
+        rng = np.random.default_rng(7)
+        scratch = TopkScratch(100)
+        for n, allocated in ((_DENSE_MIN_PAIRS - 1, 0), (_DENSE_MIN_PAIRS, 100)):
+            ids = np.concatenate([np.sort(rng.choice(100, 50, replace=False))
+                                  for _ in range(n // 50)] + [np.arange(n % 50)])
+            sc = rng.random(n)
+            got = topk_docs(ids, sc, 10, scratch=scratch)
+            want = topk_docs(ids, sc, 10)
+            assert len(scratch.seen) == allocated
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
 def _decode_term_chunks_spec(chunks):
     """The per-row decode that decode_term_chunks replaced, kept as its
     spec: rows sorted by (salt, first_doc_id, chunk_seq), then each row's

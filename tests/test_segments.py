@@ -16,6 +16,7 @@ from search_engine_ray.pipelines.segments import (
     delete_docs,
     load_tombstones,
     read_segments,
+    segment_dir,
 )
 from search_engine_ray.query.engine import SearchEngine
 from search_engine_ray.query.segmented import SegmentedSearchEngine
@@ -752,3 +753,46 @@ def test_cli_query_serves_a_segment_root(built):
     want = full.bm25_topk("common word", 5)
     assert [tuple(r) for r in doc["results"]] == want
     assert doc["urls"] == full.doc_urls([d for d, _s in want])
+
+
+class TestSharedDocLengths:
+    """Each segment engine serves its doc-length lookups (the WAND and
+    MAXSCORE cursors') from the composite's merged arrays, with the values
+    its own segment's arrays give."""
+
+    @pytest.fixture(scope="class", params=["appended", "interleaved"])
+    def root(self, request, built, tmp_path_factory, ray_session):
+        if request.param == "appended":
+            return built[2]
+        root = str(tmp_path_factory.mktemp("shared_dl"))
+        for i in range(5):
+            add_segment(_pages(TEXTS[6 * i:6 * (i + 1)], 6 * i), root, CFG)
+        compact(root, CFG, names=["seg-00000", "seg-00001", "seg-00002",
+                                  "seg-00004"])
+        return root
+
+    @staticmethod
+    def _own_engines(root):
+        return [SearchEngine(segment_dir(root, s["name"]), CFG, build_bktree=False)
+                for s in read_segments(root)]
+
+    def test_segment_doc_lengths_unchanged(self, root):
+        seg = SegmentedSearchEngine(root, CFG)
+        own = self._own_engines(root)
+        assert len(own) == len(seg.engines) >= 2
+        for eng, mine in zip(seg.engines, own):
+            assert eng._dl_ids is seg._dl_ids and eng._dl is seg._dl
+            np.testing.assert_array_equal(eng.doc_length(mine._dl_ids), mine._dl)
+            assert ([eng._doc_length_of(int(d)) for d in mine._dl_ids]
+                    == mine._dl.tolist())
+
+    @pytest.mark.parametrize("q", ["filler doc"] + QUERIES)
+    def test_pruned_modes_unchanged(self, root, q):
+        seg = SegmentedSearchEngine(root, CFG)
+        # the same segment set with each segment engine on its own arrays
+        unshared = SegmentedSearchEngine(root, CFG)
+        for eng, mine in zip(unshared.engines, self._own_engines(root)):
+            eng._dl_ids, eng._dl = mine._dl_ids, mine._dl
+        assert seg.bm25_topk_wand(q, 10) == unshared.bm25_topk_wand(q, 10)
+        assert seg.bm25_topk_maxscore(q, 10) == unshared.bm25_topk_maxscore(q, 10)
+        assert seg.bm25_topk_wand(q, 10) == seg.bm25_topk(q, 10)
