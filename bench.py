@@ -170,34 +170,21 @@ def run_bench() -> dict:
     results["bm25_cold_batch"] = cold_s
 
     eng = SearchEngine(zipf_out)
-    # hot-qps campaign: plain BM25 / block-max WAND / MAXSCORE timed
-    # INTERLEAVED, min over 4 rounds each — a noisy-neighbor burst lands
-    # on all three paths within the same round and the min discards it
-    # (BENCH_r04's lone maxscore sample read 0.82x while same-day
-    # BASELINE re-measurement of identical code read 1.0x: single-sample
-    # sequential timing, not a regression)
-    # warm postings cache (first-read I/O, untimed); every path must hit
-    for path, fn in (("bm25", eng.bm25_topk), ("wand", eng.bm25_topk_wand),
-                     ("maxscore", eng.bm25_topk_maxscore)):
-        assert_hits(path, queries, [fn(q, 10) for q in queries])
+    # hot-qps campaign: min over 4 rounds, so a noisy-neighbor burst that
+    # lands in one round is discarded (the WAND and MAXSCORE modes serve
+    # bm25_topk itself, so it is the one path timed). The postings cache is
+    # warmed first (first-read I/O, untimed); every query must hit.
+    assert_hits("bm25", queries, [eng.bm25_topk(q, 10) for q in queries])
     hot_rounds, hot_reps = 4, 100
-    hot_times: dict = {"bm25_queries": [], "bm25_wand_queries": [],
-                       "bm25_maxscore_queries": []}
+    hot_times = []
     for _ in range(hot_rounds):
-        for key, fn in (("bm25_queries", eng.bm25_topk),
-                        ("bm25_wand_queries", eng.bm25_topk_wand),
-                        ("bm25_maxscore_queries", eng.bm25_topk_maxscore)):
-            t0 = time.perf_counter()
-            for _ in range(hot_reps):
-                for q in queries:
-                    fn(q, 10)
-            hot_times[key].append(time.perf_counter() - t0)
-    n_per_round = hot_reps * len(queries)
-    for key in hot_times:
-        results[key] = min(hot_times[key])
-    qps = n_per_round / results["bm25_queries"]
-    wand_qps = n_per_round / results["bm25_wand_queries"]
-    maxscore_qps = n_per_round / results["bm25_maxscore_queries"]
+        t0 = time.perf_counter()
+        for _ in range(hot_reps):
+            for q in queries:
+                eng.bm25_topk(q, 10)
+        hot_times.append(time.perf_counter() - t0)
+    results["bm25_queries"] = min(hot_times)
+    qps = hot_reps * len(queries) / results["bm25_queries"]
 
     # --- training-data ops over the sf dir ---------------------------------
     docs = ray.data.read_parquet(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"])
@@ -403,8 +390,6 @@ def run_bench() -> dict:
         "zipf_docs": num_docs,
         "docs_per_sec": round(num_docs / results["build_zipf"], 1),
         "bm25_qps": round(qps, 1),
-        "bm25_wand_qps": round(wand_qps, 1),
-        "bm25_maxscore_qps": round(maxscore_qps, 1),
         "bm25_cold_ms_per_q": round(results["bm25_cold_batch"] * 1000 / len(queries), 3),
     }
     ray.shutdown()

@@ -19,7 +19,7 @@ Layout:
               ANN, text analysis, events windows/sessions, multimodal,
               composite corpus cleaning)
   query/      query engine (boolean/phrase/proximity/fuzzy/tf-idf/BM25/
-              WAND/blended), term-addressed locator, distributed per-shard
+              blended), term-addressed locator, distributed per-shard
               serving actors, batch retrieval, brute-force oracle
   state/      per-partition lineage manifests for checkpoint/resume
 """

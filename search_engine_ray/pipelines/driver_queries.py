@@ -214,8 +214,8 @@ def q_index_stats(sf_dir: str):
     principles: per term, the chunk count must equal
     Σ_salt ceil(group_postings / chunk_size) (the 128-cap per (term, salt)
     group, merge.py), n_postings must equal df, and the chunk max_tf
-    metadata (WAND's upper bound) must equal the true max tf. Reads ONLY
-    the 3 metadata columns of the chunk rows — no posting bytes move."""
+    metadata must equal the true max tf. Reads ONLY the 3 metadata
+    columns of the chunk rows — no posting bytes move."""
     import ray.data
 
     from search_engine_ray.stages.grouped import grouped_reduce
@@ -455,16 +455,16 @@ def q_bm25_prf(sf_dir: str):
 
 
 def q_bm25_wand(sf_dir: str):
-    """Block-max WAND BM25 (query/wand.py) — must equal the exhaustive
-    scorer row-for-row, so it shares bm25_topk's oracle SQL."""
+    """The WAND mode (served by the exhaustive scorer) — must equal
+    bm25_topk row-for-row, so it shares bm25_topk's oracle SQL."""
     eng = engine_for(sf_dir)
     scores = eng.bm25_topk_wand(Q_TEXT, k=10_000_000)
     return _ranked(scores, 4)
 
 
 def q_bm25_maxscore(sf_dir: str):
-    """MAXSCORE BM25 (query/wand.py::maxscore_topk) — must equal the
-    exhaustive scorer row-for-row, so it shares bm25_topk's oracle SQL."""
+    """The MAXSCORE mode (served by the exhaustive scorer) — must equal
+    bm25_topk row-for-row, so it shares bm25_topk's oracle SQL."""
     eng = engine_for(sf_dir)
     scores = eng.bm25_topk_maxscore(Q_TEXT, k=10_000_000)
     return _ranked(scores, 4)

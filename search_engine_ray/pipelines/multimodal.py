@@ -190,9 +190,10 @@ class FrameSampleStage:
     (doc_id, frame_idx, frame_md5), at most ``max_frames`` evenly-strided
     frames per payload.
 
-    Real decode is probed ONCE at actor init, PIL-style: PyAV first
-    (in-memory container open), then OpenCV (tempfile — cv2.VideoCapture
-    has no bytes API). With a codec library present and
+    With ``use_real_decoder=True`` real decode is probed ONCE at actor
+    init, PIL-style: PyAV first (in-memory container open), then OpenCV
+    (tempfile — cv2.VideoCapture has no bytes API); otherwise neither is
+    imported. With a codec library present and
     ``use_real_decoder=True``, frames come from the actual video stream
     (md5 of the decoded RGB frame bytes); otherwise the deterministic
     fallback treats the payload as consecutive ``frame_chars``-sized
@@ -206,6 +207,8 @@ class FrameSampleStage:
         self.fc, self.mf = frame_chars, max_frames
         self.use_real = use_real_decoder
         self.backend = None
+        if not use_real_decoder:
+            return
         try:  # pragma: no cover - codec libs absent in this container
             import av  # noqa: F401
 

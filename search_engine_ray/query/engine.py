@@ -248,11 +248,6 @@ class SearchEngine:
         idx = np.searchsorted(self._dl_ids, doc_ids)
         return self._dl[np.clip(idx, 0, len(self._dl) - 1)]
 
-    def _doc_length_of(self, doc_id: int) -> int:
-        """Scalar doc_length — the per-doc lookup WAND cursors call."""
-        i = int(np.searchsorted(self._dl_ids, doc_id))
-        return int(self._dl[min(i, len(self._dl) - 1)])
-
     def doc_urls(self, doc_ids) -> list[str]:
         """doc_id → url (the reference's DocumentMetadata.doc_url,
         indexer.rs:46-50). The url column loads lazily on first use —
@@ -274,18 +269,17 @@ class SearchEngine:
         """(doc_id, url) rows of every doc, in any order."""
         return pq.read_table(self.paths.docs, columns=["doc_id", "url"])
 
-    #: WAND never touches positions — pos_gaps/pos_lens are often the
-    #: majority of index bytes, so the cursor feed prunes them at the read
-    WAND_COLUMNS = ["term", "salt", "chunk_seq", "n_postings", "max_tf",
-                    "first_doc_id", "max_doc_id", "doc_gaps", "tfs"]
+    #: a term's chunk metadata and doc/tf columns; pos_gaps/pos_lens are
+    #: often the majority of index bytes, so they are pruned at the read
+    CHUNK_COLUMNS = ["term", "salt", "chunk_seq", "n_postings", "max_tf",
+                     "first_doc_id", "max_doc_id", "doc_gaps", "tfs"]
 
     def get_chunks(self, term: str):
         """Raw chunk rows of a term (no posting decode, no position
-        columns) — WAND feeds on these; decoding happens lazily per chunk
-        inside the cursor."""
+        columns), or None when the term is not in the dictionary."""
         if self.lookup(term) is None:
             return None
-        return self.locator.read(term, columns=self.WAND_COLUMNS)
+        return self.locator.read(term, columns=self.CHUNK_COLUMNS)
 
     def get_postings(self, term: str, positions: bool = True
                      ) -> TermPostings | None:
@@ -777,54 +771,14 @@ class SearchEngine:
         return [(int(d), float(s)) for d, s in zip(ids, scores)]
 
     def bm25_topk_wand(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """Block-max WAND top-k BM25 (query/wand.py): identical results to
-        :meth:`bm25_topk` (ties included — pytest-enforced), but skips whole
-        chunks whose upper bound cannot reach the running threshold, using
-        the per-chunk max_doc_id skip pointers + max_tf bounds."""
-        from search_engine_ray.query.wand import wand_topk
-
-        cursors = self._term_cursors(query)
-        if not cursors:
-            return []
-        return wand_topk(cursors, k)
+        """The WAND mode, served by :meth:`bm25_topk` (its results contract
+        is identical, ties included)."""
+        return self.bm25_topk(query, k)
 
     def bm25_topk_maxscore(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """MAXSCORE top-k BM25 (query/wand.py::maxscore_topk): identical
-        results to :meth:`bm25_topk` (ties included — pytest-enforced) via
-        the essential/non-essential term split with block-max refinement —
-        the other classic dynamic-pruning strategy beside WAND."""
-        from search_engine_ray.query.wand import maxscore_topk
-
-        cursors = self._term_cursors(query)
-        if not cursors:
-            return []
-        return maxscore_topk(cursors, k)
-
-    def _term_cursors(self, query: str) -> list:
-        """Lazy block-max TermCursors for every indexed query term (shared
-        by the WAND and MAXSCORE serving paths)."""
-        from search_engine_ray.query.scoring import bm25_idf
-        from search_engine_ray.query.wand import TermCursor
-
-        cursors = []
-        for t in self.query_terms(query):
-            meta = self.lookup(t)
-            if meta is None:
-                continue
-            chunks = self.get_chunks(t)
-            if chunks is None or chunks.num_rows == 0:
-                continue
-            cursors.append(
-                TermCursor(
-                    chunks,
-                    bm25_idf(meta[1], self.num_docs),
-                    self.config.bm25_k1,
-                    self.config.bm25_b,
-                    self.avgdl,
-                    self._doc_length_of,
-                )
-            )
-        return cursors
+        """The MAXSCORE mode, served by :meth:`bm25_topk` (its results
+        contract is identical, ties included)."""
+        return self.bm25_topk(query, k)
 
     def bm25_topk_blended(self, query: str, k: int = 10,
                           bigram_weight: float = 1.0) -> list[tuple[int, float]]:

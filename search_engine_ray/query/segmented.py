@@ -24,14 +24,6 @@ docs still count in the collection statistics until compaction
 stats, df from the dictionary, and the tf total of the dropped postings
 rides on each term's postings (``TermPostings.dropped_tf``) so query
 likelihood's ctf counts it too.
-
-WAND and MAXSCORE are the one segment-specific code path: one block-max
-TermCursor per (term, segment), fed with the GLOBAL idf/avgdl and the
-segment's doc lengths (held once: each segment engine shares the merged
-doc-length arrays). Segment doc ranges are disjoint, so the score
-accumulated at any doc sums exactly its own segment's contributions and
-chunk upper bounds stay admissible. With tombstones both fall back to the
-exhaustive path: a skipped chunk's bound cannot know which docs are deleted.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ from search_engine_ray.pipelines.segments import (
 )
 from search_engine_ray.query.engine import SearchEngine, read_postings
 from search_engine_ray.query.postings_codec import TermPostings, ragged_slices
-from search_engine_ray.query.scoring import bm25_idf
 
 
 def _concat(parts: list[TermPostings]) -> TermPostings:
@@ -114,7 +105,7 @@ class SegmentedSearchEngine(SearchEngine):
                          (total_tokens / num_docs) if num_docs else 0.0,
                          build_bktree)
         # doc ids are globally unique, so the merged arrays answer each
-        # segment's own doc-length lookups (the WAND cursors') as well
+        # segment's own doc-length lookups as well; its own copy is freed
         for eng in self.engines:
             eng._dl_ids, eng._dl = self._dl_ids, self._dl
 
@@ -152,35 +143,3 @@ class SegmentedSearchEngine(SearchEngine):
         parts = [c for c in (e.get_chunks(term) for e in self.engines)
                  if c is not None]
         return pa.concat_tables(parts) if parts else None
-
-    # ------------------------------------------------------------ WAND/MAXSCORE
-    def bm25_topk_wand(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        if len(self.tombstones):
-            return self.bm25_topk(query, k)
-        return super().bm25_topk_wand(query, k)
-
-    def bm25_topk_maxscore(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        if len(self.tombstones):
-            return self.bm25_topk(query, k)
-        return super().bm25_topk_maxscore(query, k)
-
-    def _term_cursors(self, query: str) -> list:
-        """Block-max cursors per (term, segment), term-major creation order
-        (the float summation order both pruning paths re-impose, matching
-        the exhaustive scorer); idf uses the GLOBAL df."""
-        from search_engine_ray.query.wand import TermCursor
-
-        cursors = []
-        for t in self.query_terms(query):
-            meta = self.lookup(t)
-            if meta is None:
-                continue
-            idf = bm25_idf(meta[1], self.num_docs)
-            for eng in self.engines:
-                chunks = eng.get_chunks(t)
-                if chunks is None or chunks.num_rows == 0:
-                    continue
-                cursors.append(TermCursor(chunks, idf, self.config.bm25_k1,
-                                          self.config.bm25_b, self.avgdl,
-                                          eng._doc_length_of))
-        return cursors

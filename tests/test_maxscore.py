@@ -1,7 +1,7 @@
-"""MAXSCORE ≡ exhaustive BM25 (exact, ties included) + pruning behavior.
+"""The MAXSCORE mode ≡ exhaustive BM25 (exact, ties included).
 
-Companion of test_wand.py: maxscore_topk shares TermCursor with WAND and
-must reproduce bm25_topk exactly (docs AND scores, tie order included).
+Companion of test_wand.py: the mode must reproduce bm25_topk exactly (docs
+AND scores, tie order included).
 """
 
 import numpy as np
@@ -57,47 +57,6 @@ def test_maxscore_equals_exhaustive(engine, q, k):
 @pytest.mark.parametrize("q", ["w0 w1 w2", "w59 w0", "w3 w7 w12"])
 def test_maxscore_equals_wand(engine, q):
     assert engine.bm25_topk_maxscore(q, 10) == engine.bm25_topk_wand(q, 10)
-
-
-def test_maxscore_prunes_nonessential(tmp_path_factory, ray_session):
-    """With one rare high-idf term and one stopword-class term, the stopword
-    list must become non-essential once the heap fills: most of its chunks
-    are never decoded (probes only touch candidate docs from the rare
-    list)."""
-    import ray.data
-
-    from search_engine_ray.query.wand import TermCursor
-
-    # 'common' in every doc; 'rare' in a handful of early docs
-    texts = []
-    for i in range(600):
-        base = f"common pad{i} x y"
-        if i < 5:
-            base += " rare rare"
-        texts.append(base)
-    rows = [{"url": _url_for(i), "html": synthesize_html(t).encode()} for i, t in enumerate(texts)]
-    out = str(tmp_path_factory.mktemp("maxscore_prune_idx"))
-    build_index(ray.data.from_items(rows, override_num_blocks=2), out,
-                EngineConfig(chunk_size=16))
-    eng = SearchEngine(out, build_bktree=False)
-
-    decoded = {"n": 0}
-    orig = TermCursor._load_chunk
-
-    def counting(self):
-        decoded["n"] += 1
-        orig(self)
-
-    TermCursor._load_chunk = counting
-    try:
-        got = eng.bm25_topk_maxscore("rare common", 3)
-        assert got == eng.bm25_topk("rare common", 3)
-        n_common = eng.get_chunks("common").num_rows
-        # exhaustive would decode every 'common' chunk (~600/16 ≈ 38);
-        # MAXSCORE must touch only a handful
-        assert decoded["n"] <= max(4, n_common // 4), (decoded["n"], n_common)
-    finally:
-        TermCursor._load_chunk = orig
 
 
 def test_maxscore_empty_and_missing_terms(engine):

@@ -105,6 +105,30 @@ class TestFrameSample:
             _batch([b"hello" * 300])).to_pandas()
         assert len(out) >= 1  # fallback path served the batch
 
+    def test_default_stage_probes_no_codecs(self, monkeypatch):
+        """Without use_real_decoder the stage never imports av or cv2, and
+        serves the same fallback frames."""
+        import builtins
+
+        imported = []
+        real_import = builtins.__import__
+
+        def recording(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        text = "abcd" * 1000
+        monkeypatch.setattr(builtins, "__import__", recording)
+        stage = FrameSampleStage()
+        monkeypatch.setattr(builtins, "__import__", real_import)
+        assert stage.backend is None
+        assert not {"av", "cv2"} & set(imported), imported
+        out = stage(_batch([text.encode()])).to_pandas()
+        assert list(out["frame_idx"]) == [0, 1, 2, 3]
+        assert list(out["frame_md5"]) == [
+            hashlib.md5(text[i * 1024:(i + 1) * 1024].encode()).hexdigest()
+            for i in range(4)]
+
     def test_video_decode_implemented_with_av(self, monkeypatch):
         """With PyAV importable the NotImplementedError is unreachable:
         decode_frames_real opens the container, strides the decoded
