@@ -13,13 +13,15 @@ Layout:
               bz2+JSON article ingest
   stages/     Dataset stage builders: extract, tokenize (optionally with
               bigrams), deterministic id assignment, hash-sharded
-              int-keyed postings merge, sorted whole-group mapping
+              int-keyed postings merge into one flat postings file per
+              shard, sorted whole-group mapping
   pipelines/  end-to-end build (per-unit resumable merges) + training-data
               pipelines (dedup exact/MinHash/SimHash/cosine, clustering,
               ANN, text analysis, events windows/sessions, multimodal,
               composite corpus cleaning)
   query/      query engine (boolean/phrase/proximity/fuzzy/tf-idf/BM25/
-              blended), term-addressed locator, distributed per-shard
+              blended), term-addressed locator (one pread per term),
+              distributed per-shard
               serving actors, batch retrieval, brute-force oracle
   state/      per-partition lineage manifests for checkpoint/resume
 """

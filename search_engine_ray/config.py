@@ -28,7 +28,7 @@ class EngineConfig:
     #: number of hash shards of the postings index: shard = poly_hash(term)
     #: % index_shards. The ONE partitioning key reused across build (sharded
     #: merges with per-shard resume manifests) and serving (the engine maps
-    #: term → shard and reads only that shard's row groups).
+    #: term → shard and reads only the term's record in that shard's file).
     index_shards: int = 32
     #: number of independent merge jobs (resume units); runs are hive-
     #: partitioned by poly_hash(term) % merge_units and each unit merges the
@@ -41,10 +41,11 @@ class EngineConfig:
     #: 2-CPU cost); fewer = fewer run files per tokenize task. 32 = one
     #: unit per output shard.
     merge_units: int = 32
-    #: on-disk chunk-row schema version; part of every stage fingerprint so
+    #: on-disk index format version; part of every stage fingerprint so
     #: format changes invalidate cached/resumable indexes. v3 = hash-sharded
-    #: runs/postings layout + dictionary (term, df, term_id, shard).
-    format_version: int = 3
+    #: runs/postings layout + dictionary (term, df, term_id, shard); v4 =
+    #: one flat postings file per shard (stages/postings_file.py).
+    format_version: int = 4
 
     # --- scoring ------------------------------------------------------------
     #: BM25 parameters. The reference defines none (its live scoring is

@@ -11,12 +11,13 @@ for Ray Data streaming execution; SURVEY.md §7.1):
     → dictionary/ugroup=U/ (term, term_id = dense rank, df, shard),
       hive-partitioned by merge unit so each merge job's workers read only
       their own vocab slice (nothing vocab-sized on the driver) [checkpoint]
-    → postings/shard=K/: PER-SHARD int-keyed merge — sort(term_id, doc_id)
-      + vectorized multi-group kernel → ≤128-posting VB chunks. Each shard
-      is an independent job with its own lineage manifest: a killed build
-      resumes by re-running ONLY the incomplete shards (per-partition
-      lineage, the reference has nothing comparable). The term STRING never
-      rides the merge shuffle (stages/merge.py:merge_shard_postings).
+    → postings/shard=K/postings.bin: PER-UNIT int-keyed merge — sort
+      (shard, term_id, doc_id) → one flat file per shard, one contiguous
+      VB record per term (stages/postings_file.py). Each shard has its own
+      lineage manifest: a killed build resumes by re-running ONLY the
+      incomplete merge units (per-partition lineage, the reference has
+      nothing comparable). The term STRING never rides the merge shuffle
+      (stages/merge.py).
     → stats.json (N, total tokens, avgdl); doc lengths are served from the
       docs/ columns directly (no separate copy)
 
@@ -30,8 +31,8 @@ Each stage writes parquet + a lineage manifest; ``build_index(resume=True)``
 skips stages (and individual postings shards) whose manifest is complete
 with a matching fingerprint (state/manifests.py). The hash-shard key is the
 ONE partitioning key reused across build and serving: the query engine maps
-term → shard with the same hash and reads only that shard's row groups
-(query/locator.py).
+term → shard with the same hash and reads only the term's record in that
+shard's file (query/locator.py).
 """
 
 from __future__ import annotations
@@ -654,6 +655,7 @@ def build_index(
         from concurrent.futures import ThreadPoolExecutor
 
         from search_engine_ray.stages.merge import merge_shard_postings
+        from search_engine_ray.stages.postings_file import ShardWriter, shard_file
 
         os.makedirs(paths.postings, exist_ok=True)
 
@@ -661,6 +663,13 @@ def build_index(
             # sgroup = hash % merge_units groups exactly the output shards
             # congruent to u (index_shards is a multiple of merge_units)
             return [k for k in range(n_shards) if k % n_units == u]
+
+        def finish_shard(k: int) -> None:
+            # a shard no postings hashed to still gets its (empty) file, so
+            # every shard of a built index has exactly one
+            path = shard_file(paths.postings, k)
+            if not os.path.exists(path):
+                ShardWriter(path, config.chunk_size, config.salt_span).close()
 
         def unit_complete(u: int) -> bool:
             return all(
@@ -693,7 +702,7 @@ def build_index(
         # The dictionary is hive-partitioned by merge unit (ugroup =
         # shard % merge_units): each unit job points its workers at
         # dictionary/ugroup=U and they load the slice once per process
-        # (stages/merge.py:load_dict_slice). NOTHING vocabulary-sized is
+        # (stages/merge.py:load_dict_slice_pa). NOTHING vocabulary-sized is
         # materialized on the driver.
         #
         # The slice-cache tag must change whenever the dictionary FILES
@@ -741,18 +750,17 @@ def build_index(
                         paths.postings, config=config, dict_slice_tag=slice_tag,
                     )
                 else:
-                    # fixed floor (not 4*ncpu): identical sort-block plan at
+                    # fixed floor (not 4*ncpu): identical read-block plan at
                     # every cluster size — see the docs+runs stage note
-                    chunks = merge_units_postings(
-                        paths.runs, paths.dictionary, n_units, config=config,
+                    merge_units_postings(
+                        paths.runs, paths.dictionary, n_units, paths.postings,
+                        config=config,
                         n_sort_blocks=int(os.environ.get("SE_RAY_BLOCK_FLOOR", "32")),
                         dict_slice_tag=slice_tag,
                     )
-                    chunks.write_parquet(paths.postings, partition_cols=["shard"],
-                                         **write_kwargs)
             el = round(time.perf_counter() - t0, 6)
             for k in range(n_shards):
-                os.makedirs(paths.postings_shard(k), exist_ok=True)
+                finish_shard(k)
                 manifests.write_manifest(
                     paths.postings_shard(k), f"postings/shard={k}", in_fp)
             manifests.write_manifest(paths.postings, "postings", in_fp,
@@ -788,16 +796,13 @@ def build_index(
                     override_num_blocks=size_aware_blocks(
                         dir_parquet_bytes(group_dir), floor=n_sort_blocks),
                 )
-                chunks = merge_shard_postings(
-                    runs_u, config=config, n_sort_blocks=0,
-                    dict_slice_dir=unit_dict_dir, dict_slice_tag=slice_tag,
+                merge_shard_postings(
+                    runs_u, unit_dict_dir, paths.postings, config=config,
+                    dict_slice_tag=slice_tag,
                 )
-                # one write fans chunk rows out to the unit's shard= dirs
-                chunks.write_parquet(paths.postings, partition_cols=["shard"],
-                                     **write_kwargs)
             el_u = round(time.perf_counter() - t_u, 6)
             for k in shards:
-                os.makedirs(paths.postings_shard(k), exist_ok=True)
+                finish_shard(k)
                 manifests.write_manifest(
                     paths.postings_shard(k), f"postings/shard={k}", in_fp,
                     extra={"elapsed_s": el_u, "merge_unit": u},

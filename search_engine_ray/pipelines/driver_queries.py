@@ -214,15 +214,15 @@ def q_index_stats(sf_dir: str):
     principles: per term, the chunk count must equal
     Σ_salt ceil(group_postings / chunk_size) (the 128-cap per (term, salt)
     group, merge.py), n_postings must equal df, and the chunk max_tf
-    metadata must equal the true max tf. Reads ONLY the 3 metadata
-    columns of the chunk rows — no posting bytes move."""
-    import ray.data
-
+    metadata must equal the true max tf. Reads the 3 metadata columns of
+    the chunk rows regenerated from the shard files (read_chunk_rows,
+    lean records only — no position bytes are read)."""
     from search_engine_ray.stages.grouped import grouped_reduce
+    from search_engine_ray.stages.postings_file import read_chunk_rows
 
     eng = engine_for(sf_dir)
-    chunks = ray.data.read_parquet(eng.paths.postings,
-                                   columns=["term", "n_postings", "max_tf"])
+    chunks = read_chunk_rows(eng.paths.postings,
+                             columns=["term", "n_postings", "max_tf"])
 
     def widen(batch: pa.Table) -> pa.Table:
         return pa.table({"term": batch["term"],

@@ -3,10 +3,11 @@
 
     norm[d] = sqrt( Σ_terms_in_d (tf · idf)² ),   idf = log10(N / df)
 
-re-expressed distributed: read the chunked postings index (column-pruned),
-decode doc_id streams vectorized across ALL chunk rows of a batch, broadcast
-the (term → df) dictionary once via ``ray.put``, partial-sum squares per doc
-per batch, then one keep-summing pass over the doc-sorted stream.
+re-expressed distributed: read the index's chunk rows (read_chunk_rows,
+column-pruned), decode doc_id streams vectorized across ALL chunk rows of a
+batch, broadcast the (term → df) dictionary once via ``ray.put``,
+partial-sum squares per doc per batch, then one keep-summing pass over the
+doc-sorted stream.
 
 Scale note: the dictionary broadcast is vocab-sized; at extreme vocabularies
 the df could instead ride inside the chunk rows (one int per chunk) — noted,
@@ -23,6 +24,7 @@ import ray.data
 from search_engine_ray.functions.vb import binary_column_parts, vb_decode_array
 from search_engine_ray.pipelines.build import IndexPaths, load_stats
 from search_engine_ray.stages.grouped import sorted_group_map
+from search_engine_ray.stages.postings_file import read_chunk_rows
 
 
 def decode_doc_ids_batch(doc_gaps_col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +86,7 @@ def cosine_norms(index_dir: str) -> "ray.data.Dataset":
         return pa.table({"doc_id": pa.array(uniq, pa.int64()),
                          "w2": pa.array(agg, pa.float64())})
 
-    partials = ray.data.read_parquet(
+    partials = read_chunk_rows(
         paths.postings, columns=["term", "doc_gaps", "tfs"]
     ).map_batches(partial, batch_format="pyarrow", batch_size=None)
 

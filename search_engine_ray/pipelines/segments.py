@@ -51,6 +51,7 @@ from search_engine_ray.functions.vb import (
     vb_decode_array,
 )
 from search_engine_ray.pipelines.build import IndexPaths, build_index, load_stats
+from search_engine_ray.stages.postings_file import read_chunk_rows
 from search_engine_ray.state import manifests
 
 SEGMENTS_FILE = "segments.json"
@@ -331,7 +332,7 @@ def compact(root: str, config: EngineConfig | None = None,
     chunk_cols = ["term", "n_postings", "doc_gaps", "pos_lens", "pos_gaps"]
     runs_parts = []
     for d in seg_dirs:
-        ds = ray.data.read_parquet(IndexPaths(d).postings, columns=chunk_cols)
+        ds = read_chunk_rows(IndexPaths(d).postings, columns=chunk_cols)
         runs_parts.append(ds.map_batches(
             lambda b: _chunks_to_runs(b, n_units, drop_ref),
             batch_format="pyarrow"))

@@ -151,7 +151,7 @@ class SearchEngine:
         self.stats = load_stats(index_dir)
         self.tokenizer = Tokenizer(lemma_path=self.config.lemma_path)
         # term-addressed postings access (the reference's term → block_ids
-        # map, index_metadata.rs:3-48, as shard hash + footer ranges)
+        # map, index_metadata.rs:3-48, as shard hash + per-shard term table)
         n_shards = (self.stats.get("config") or {}).get("index_shards")
         self.locator = PostingsLocator(self.paths.postings, n_shards)
         dic = pq.read_table(
@@ -268,18 +268,6 @@ class SearchEngine:
     def _url_table(self):
         """(doc_id, url) rows of every doc, in any order."""
         return pq.read_table(self.paths.docs, columns=["doc_id", "url"])
-
-    #: a term's chunk metadata and doc/tf columns; pos_gaps/pos_lens are
-    #: often the majority of index bytes, so they are pruned at the read
-    CHUNK_COLUMNS = ["term", "salt", "chunk_seq", "n_postings", "max_tf",
-                     "first_doc_id", "max_doc_id", "doc_gaps", "tfs"]
-
-    def get_chunks(self, term: str):
-        """Raw chunk rows of a term (no posting decode, no position
-        columns), or None when the term is not in the dictionary."""
-        if self.lookup(term) is None:
-            return None
-        return self.locator.read(term, columns=self.CHUNK_COLUMNS)
 
     def get_postings(self, term: str, positions: bool = True
                      ) -> TermPostings | None:

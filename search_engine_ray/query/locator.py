@@ -1,146 +1,69 @@
-"""Term-addressed postings access: shard hash + parquet footer ranges.
+"""Term-addressed postings access: shard hash + per-shard term table.
 
-The reference's dictionary maps every term to the exact index blocks holding
-its postings (/root/reference/src/indexer/index_merge_writer.rs:65-68,142,
-index_metadata.rs:3-48), so a query reads only its own blocks. The
-Ray-native equivalent here is two-level:
+The reference's dictionary maps every term to the exact index blocks
+holding its postings (the reference's src/indexer/index_merge_writer.rs:
+65-68,142, index_metadata.rs:3-48), so a query reads only its own blocks.
+Here a read is two lookups and one ``pread``:
 
 1. shard = poly_hash(term) % index_shards — the same deterministic hash the
-   build used to partition runs/postings (pipelines/build.py), so one dir
+   build used to partition runs/postings (pipelines/build.py), so one file
    lookup rules out (index_shards-1)/index_shards of the index;
-2. within the shard, files are written in (term_id, doc_id) sort order, so
-   each parquet ROW GROUP covers a contiguous term range. Footers are read
-   once per shard (metadata only, lazily on first access) into a sorted
-   interval table; a query binary-searches it and reads exactly the row
-   groups whose [min_term, max_term] contain the term.
+2. the shard file's term table (stages/postings_file.py, loaded and
+   checked once, lazily on the first read that touches the shard) gives
+   the term's ``(offset, lean_nbytes, nbytes)``; the read takes
+   ``lean_nbytes`` bytes for a lean read (doc ids and tfs) or ``nbytes``
+   with positions.
 
-Parquet statistics are conservative under truncation (a truncated min is a
-prefix ≤ the true min; a truncated max is incremented past the true max), so
-stat-based selection can over-read but never miss — the exact same contract
-predicate pushdown relies on.
-
-``files_touched`` / ``row_groups_touched`` counters exist so tests can
-assert cache-cold reads stay shard-local and row-group-minimal.
+``reads`` / ``bytes_read`` count the preads and their bytes, so tests and
+callers can see what a query read.
 """
 
 from __future__ import annotations
 
-import bisect
 import os
 
-import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
-
 from search_engine_ray.functions.hashing import poly_hash_str
-
-
-class _ShardIndex:
-    """Sorted (min_term, max_term) interval table of one shard's row groups."""
-
-    def __init__(self, shard_dir: str):
-        entries: list[tuple[str, str, str, int]] = []  # (tmin, tmax, path, rg)
-        self.ordered = True
-        for root, _dirs, files in os.walk(shard_dir):
-            for f in sorted(files):
-                if not f.endswith(".parquet"):
-                    continue
-                path = os.path.join(root, f)
-                md = pq.read_metadata(path)
-                names = md.schema.names
-                try:
-                    tcol = names.index("term")
-                except ValueError:  # pragma: no cover
-                    continue
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(tcol).statistics
-                    if st is None or not st.has_min_max:
-                        self.ordered = False
-                        entries.append(("", "\U0010ffff", path, rg))
-                    else:
-                        entries.append((str(st.min), str(st.max), path, rg))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        self.tmins = [e[0] for e in entries]
-        self.tmaxs = [e[1] for e in entries]
-        self.paths = [e[2] for e in entries]
-        self.rgs = [e[3] for e in entries]
-        # prefix max of tmaxs: pmax[i] = max(tmaxs[0..i]). The backward scan
-        # in row_groups_for stops exactly when NO interval at or before i can
-        # still cover the probe — provably safe whatever the layout (a wide
-        # straddling row group behind many narrow ones is found), instead of
-        # a fixed scan margin resting on an unchecked near-disjointness
-        # invariant.
-        self.pmax: list[str] = []
-        run = ""
-        for t in self.tmaxs:
-            run = t if t > run else run
-            self.pmax.append(run)
-
-    def row_groups_for(self, term: str) -> list[tuple[str, int]]:
-        out = []
-        if not self.tmins:
-            return out
-        # candidates: intervals with tmin <= term; scan back while some
-        # interval can still cover (prefix-max bound — exact, no over-break)
-        hi = bisect.bisect_right(self.tmins, term)
-        for i in range(hi - 1, -1, -1):
-            if self.pmax[i] < term:
-                break
-            if self.tmaxs[i] >= term:
-                out.append((self.paths[i], self.rgs[i]))
-        out.reverse()
-        return out
+from search_engine_ray.query.postings_codec import DamagedShardError, TermRecord
+from search_engine_ray.stages.postings_file import ShardFile, shard_file
 
 
 class PostingsLocator:
-    """term → minimal set of postings row groups (see module docstring)."""
+    """term → its record in one shard file (see module docstring)."""
 
     def __init__(self, postings_dir: str, n_shards: int | None = None):
         self.postings_dir = postings_dir
-        shard_dirs = {}
-        for name in os.listdir(postings_dir):
-            if name.startswith("shard=") and os.path.isdir(os.path.join(postings_dir, name)):
-                shard_dirs[int(name.split("=", 1)[1])] = os.path.join(postings_dir, name)
-        self.sharded = bool(shard_dirs)
-        self.shard_dirs = shard_dirs
-        self.n_shards = n_shards if n_shards else (max(shard_dirs) + 1 if shard_dirs else 1)
-        self._indexes: dict[int, _ShardIndex] = {}
-        self._files: dict[str, pq.ParquetFile] = {}
-        self.files_touched = 0
-        self.row_groups_touched = 0
+        if not n_shards:
+            n_shards = sum(1 for name in os.listdir(postings_dir)
+                           if name.startswith("shard="))
+        self.n_shards = max(1, n_shards)
+        self._shards: dict[int, ShardFile] = {}
+        self.reads = 0
+        self.bytes_read = 0
 
     def shard_of(self, term: str) -> int:
-        return poly_hash_str(term) % self.n_shards if self.sharded else 0
+        return poly_hash_str(term) % self.n_shards
 
-    def _index(self, shard: int) -> _ShardIndex:
-        idx = self._indexes.get(shard)
-        if idx is None:
-            d = self.shard_dirs.get(shard, self.postings_dir if not self.sharded else None)
-            idx = _ShardIndex(d) if d else _ShardIndex(os.devnull + "_missing")
-            self._indexes[shard] = idx
-        return idx
+    def _shard(self, shard: int, term: str) -> ShardFile:
+        sf = self._shards.get(shard)
+        if sf is None:
+            path = shard_file(self.postings_dir, shard)
+            try:
+                sf = ShardFile(path)
+            except DamagedShardError as e:
+                raise DamagedShardError(f"{e} (reading term {term!r})") from None
+            except FileNotFoundError:
+                raise FileNotFoundError(
+                    f"{path}: postings shard file missing (reading term {term!r})") from None
+            self._shards[shard] = sf
+        return sf
 
-    def read(self, term: str, columns: list[str] | None = None) -> pa.Table:
-        """All chunk rows of ``term`` (column-pruned), reading ONLY the row
-        groups whose footer range covers the term."""
-        if columns and "term" not in columns:
-            columns = ["term", *columns]
-        sel = self._index(self.shard_of(term)).row_groups_for(term)
-        if not sel:
-            from search_engine_ray.stages.merge import CHUNK_SCHEMA
-
-            empty = CHUNK_SCHEMA.empty_table()
-            return empty.select(columns) if columns else empty
-        parts = []
-        touched_files = set()
-        for path, rg in sel:
-            pf = self._files.get(path)
-            if pf is None:
-                pf = pq.ParquetFile(path)
-                self._files[path] = pf
-            touched_files.add(path)
-            self.row_groups_touched += 1
-            parts.append(pf.read_row_group(rg, columns=columns))
-        self.files_touched += len(touched_files)
-        table = pa.concat_tables(parts)
-        return table.filter(pc.equal(table["term"], term))
+    def read(self, term: str, columns: list[str] | None = None) -> TermRecord:
+        """``term``'s record: its lean part when ``columns`` names no
+        position column (``LEAN_COLUMNS``), else the whole record; an
+        empty record when the index lacks the term."""
+        positions = columns is None or "pos_gaps" in columns
+        rec = self._shard(self.shard_of(term), term).read(term, positions)
+        if rec.df:
+            self.reads += 1
+            self.bytes_read += len(rec.data)
+        return rec

@@ -1,8 +1,10 @@
-"""Decode chunk rows (stages/merge.py CHUNK_SCHEMA) back into postings.
+"""Decode postings back from the index: a term's flat shard-file record
+(stages/postings_file.py) or its chunk rows (stages/merge.py
+CHUNK_SCHEMA).
 
 Mirrors the reference's read path: Block::decode_chunks_for_term →
 Chunk::get_doc_ids / positions (/root/reference/src/indexer/block.rs:114-141,
-chunk.rs:58-94) — but with explicit lengths instead of the buggy 0x00
+chunk.rs:58-94) — but with explicit counts instead of the buggy 0x00
 delimiter scan (SURVEY.md §2.7 C5).
 """
 
@@ -16,11 +18,31 @@ import pyarrow as pa
 from search_engine_ray.functions.vb import binary_column_parts, vb_decode_array
 
 
-#: the chunk columns BM25 scoring reads: enough to order a term's chunk rows
-#: and decode its doc ids and tfs. The position columns (pos_lens, pos_gaps)
-#: are often most of a row's bytes, so a read that names only these prunes
-#: them, and decode_term_chunks returns lean postings.
+#: the chunk columns BM25 scoring reads: enough to decode a term's doc ids
+#: and tfs. A ``locator.read`` naming only these reads a record's lean part
+#: (no positions) and decode_term_chunks returns lean postings; chunk rows
+#: selected to these columns decode the same way.
 LEAN_COLUMNS = ["term", "salt", "chunk_seq", "first_doc_id", "doc_gaps", "tfs"]
+
+
+@dataclass
+class TermRecord:
+    """One term's bytes as read from its shard file: the lean part (doc
+    gaps and tfs, ``lean_nbytes`` bytes) and, when ``positional``, the
+    concatenated per-posting position bytes after it. An absent term is an
+    empty record (df 0, no bytes)."""
+
+    term: str
+    path: str
+    df: int
+    lean_nbytes: int
+    data: bytes | memoryview
+    positional: bool
+
+    @property
+    def num_rows(self) -> int:
+        """Records read: 1, or 0 for an absent term."""
+        return 1 if self.df else 0
 
 
 @dataclass
@@ -115,8 +137,54 @@ def _binary_stream(arr: pa.Array) -> np.ndarray:
     return data[offsets[0] : offsets[-1]]
 
 
-def decode_term_chunks(chunks: pa.Table) -> TermPostings:
-    """All chunk rows of ONE term (any order, any number of record
+class DamagedShardError(ValueError):
+    """A postings shard file whose footer, term table or records
+    disagree (stages/postings_file.py)."""
+
+
+def _damaged(rec: TermRecord, what: str) -> DamagedShardError:
+    return DamagedShardError(f"{rec.path}: term {rec.term!r}: {what}")
+
+
+def decode_term_record(rec: TermRecord) -> TermPostings:
+    """One term record → TermPostings: one VB decode of the lean part —
+    df values (doc gap << 1 | tf > 1) and a cumsum, then tf - 2 for each
+    flagged posting — and, when positional, one VB decode of the position
+    bytes split per posting by tf. Raises, naming the file and the term,
+    when the bytes do not hold the record's df postings."""
+    df = rec.df
+    z = np.zeros(0, np.int64)
+    if df == 0:
+        return TermPostings(z, z, np.zeros(1, np.int64) if rec.positional else None, z)
+    buf = np.frombuffer(rec.data, np.uint8)
+    try:
+        vals = vb_decode_array(buf[:rec.lean_nbytes]).view(np.int64)
+        pos = vb_decode_array(buf[rec.lean_nbytes:]) if rec.positional else None
+    except ValueError as e:
+        raise _damaged(rec, str(e)) from None
+    many = (vals[:df] & 1).astype(bool)
+    if len(vals) != df + int(many.sum()):
+        raise _damaged(rec, f"lean part holds {len(vals)} values, expected "
+                            f"{df} + one per posting with tf > 1")
+    gaps = vals[:df] >> 1
+    if not gaps[1:].all():
+        raise _damaged(rec, "doc ids not strictly ascending")
+    doc_ids = np.cumsum(gaps)
+    tfs = many.astype(np.int64) + 1
+    tfs[many] = vals[df:] + 2
+    if pos is None:
+        return TermPostings(doc_ids, tfs, None, z)
+    if len(pos) != int(tfs.sum()):
+        raise _damaged(rec, f"{len(pos)} positions, expected {int(tfs.sum())}")
+    pos_values, pos_offsets = _restart_cumsum(pos, tfs)
+    return TermPostings(doc_ids, tfs, pos_offsets, pos_values)
+
+
+def decode_term_chunks(chunks: pa.Table | TermRecord) -> TermPostings:
+    """A term's postings from a :class:`TermRecord` (see
+    :func:`decode_term_record`) or from all its chunk rows.
+
+    All chunk rows of ONE term (any order, any number of record
     batches) → merged TermPostings, in one vectorized pass: one VB decode
     of the concatenated doc-gap streams restarted at every chunk (each
     chunk's first doc id is absolute), one flatten of the tfs, and one VB
@@ -129,11 +197,12 @@ def decode_term_chunks(chunks: pa.Table) -> TermPostings:
     :class:`TermPostings`).
 
     Rows are ordered by (salt, first_doc_id): salt buckets are disjoint
-    ascending doc_id ranges, and within a (term, salt) group every chunk —
-    including fragments of block-straddling groups — holds a disjoint
-    ascending doc_id range, so this ordering restores global doc_id order
-    exactly (stages/merge.py).
+    ascending doc_id ranges, and within a (term, salt) group every chunk
+    holds a disjoint ascending doc_id range, so this ordering restores
+    global doc_id order exactly (stages/merge.py).
     """
+    if isinstance(chunks, TermRecord):
+        return decode_term_record(chunks)
     positional = "pos_gaps" in chunks.column_names
     if chunks.num_rows == 0:
         z = np.zeros(0, np.int64)

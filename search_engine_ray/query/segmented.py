@@ -137,9 +137,3 @@ class SegmentedSearchEngine(SearchEngine):
 
     def _url_table(self):
         return pa.concat_tables([e._url_table() for e in self.engines])
-
-    def get_chunks(self, term: str):
-        """Raw chunk rows of a term from every segment that has it."""
-        parts = [c for c in (e.get_chunks(term) for e in self.engines)
-                 if c is not None]
-        return pa.concat_tables(parts) if parts else None

@@ -1,25 +1,29 @@
-"""Postings merge + chunked index construction.
+"""Postings merge: sorted runs → one flat postings file per hash shard.
 
 The reference merges sorted SPIMI runs with a k-way smallest-term loop
 (/root/reference/src/indexer/spimi.rs:50-121) and writes 64 KB blocks of
 ≤128-posting VB-compressed chunks, each chunk recording max_doc_id as a skip
 pointer (/root/reference/src/indexer/index_merge_writer.rs:126-200,
-chunk.rs:5-15). Here the sort shuffle IS the merge:
+chunk.rs:5-15). Here an in-memory sort (one task per merge unit) or a
+range-partitioned sort whose blocks write part files, joined per shard,
+IS the merge:
 
-    postings rows ──add salt──► sort(term, salt, doc_id) ──vectorized
-    multi-group kernel per sorted block──► chunk rows
+    runs rows (term, doc_id, pos_enc) ──term → term_id, shard──►
+    sort(shard, term_id, doc_id) ──► postings/shard=K/postings.bin
 
-Hot-term skew (SURVEY.md §4): a term appearing in every doc would
-concentrate its whole posting list in one range partition, so the grouping
-key is ``(term, salt)`` with ``salt = doc_id // salt_span``, bounding any
-group at salt_span postings. Salt buckets of one term hold disjoint
-ascending doc_id ranges, and so does every chunk within a group, so reading
-a term's chunks in (salt, first_doc_id) order restores global doc_id order
-with a plain concat (see merge_postings for the block-straddling case).
+Every path writes through one encoder (stages/postings_file.py): a term is
+one contiguous record — VB doc gaps and tfs, then its runs' ``pos_enc``
+bytes — addressed by the shard's term table, so serving reads one byte
+range per term (query/locator.py).
 
-Chunk rows (the persisted index; one row per ≤chunk_size postings):
+Chunk rows (``CHUNK_SCHEMA``; the reference's chunks as a table) are a
+view regenerated from the shard files by ``read_chunk_rows`` for Ray Data
+consumers (index stats, cosine norms, segment compaction). One row per
+≤chunk_size postings of a ``(term, salt)`` group, ``salt = doc_id //
+salt_span`` (hot-term skew, SURVEY.md §4: salt buckets of one term hold
+disjoint ascending doc_id ranges):
     term:string, salt:int64, chunk_seq:int32, n_postings:int32,
-    first_doc_id:int64, max_doc_id:int64,
+    max_tf:int32, first_doc_id:int64, max_doc_id:int64,
     doc_gaps:binary   — delta-gap+VB doc_ids, first-of-chunk absolute
                         (self-contained chunks; the reference continues
                         deltas across chunks — deviation documented),
@@ -30,10 +34,9 @@ Chunk rows (the persisted index; one row per ≤chunk_size postings):
     pos_gaps:binary   — delta-gap+VB positions, first-per-posting absolute.
 
 Unlike the reference we never use a 0x00 delimiter (its parsing breaks on
-gaps ≥ 16384 — vb_encode.rs:91-103, SURVEY.md §2.7 C5); lengths are explicit.
-The index is keyed by the term string itself (parquet dictionary-encodes it);
-dense 1-based term_ids live in dictionary.parquet for rank/oracle parity
-(spimi.rs:60,76,95) without a build-time join.
+gaps ≥ 16384 — vb_encode.rs:91-103, SURVEY.md §2.7 C5); counts are
+explicit. Dense 1-based term_ids live in dictionary.parquet for rank/oracle
+parity (spimi.rs:60,76,95); the term string never rides a shuffle.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import pyarrow.compute as pc
 import ray
 
 from search_engine_ray.config import EngineConfig
-from search_engine_ray.functions.vb import binary_column_parts, binary_from_spans, vb_encode_array
+from search_engine_ray.functions.vb import binary_from_spans, vb_encode_array
 
 CHUNK_SCHEMA = pa.schema(
     [
@@ -76,7 +79,9 @@ def chunk_rows_from_postings(
 
     pos_offsets/pos_values: list-array layout of per-posting positions
     (pos_offsets has len(doc_ids)+1 entries). Fully vectorized: one VB encode
-    for the doc_id stream, one for the position stream.
+    for the doc_id stream, one for the position stream. The per-group
+    reference that ``read_chunk_rows`` (stages/postings_file.py, all groups
+    of many terms at once) is tested against.
     """
     n = len(doc_ids)
     if n == 0:
@@ -126,8 +131,8 @@ def chunk_rows_from_postings(
     doc_gaps_col = binary_from_spans(doc_enc, doc_spans)
     pos_gaps_col = binary_from_spans(pos_enc, pos_spans)
     if not (doc_gaps_col.type == pa.binary() and pos_gaps_col.type == pa.binary()):
-        # same loud failure as _chunks_for_sorted_batch: a silent
-        # large_binary flip would mix schemas within one shard's parquet
+        # a silent large_binary flip would mix schemas within one
+        # read_chunk_rows dataset
         raise ValueError(
             f"term {term!r} salt {salt}: encoded postings exceed the int32 "
             "offset range for one group; raise salt_span so no single "
@@ -148,214 +153,6 @@ def chunk_rows_from_postings(
             "pos_lens": pos_lens_list,
             "pos_gaps": pos_gaps_col,
         }
-    )
-
-
-def _chunks_for_sorted_batch(batch: pa.Table, chunk_size: int,
-                             skip_edge_groups: bool, salt_span: int) -> pa.Table:
-    """Vectorized multi-group chunk construction over a batch of posting rows
-    (term, doc_id, pos_enc) already sorted by (term, doc_id). When
-    ``skip_edge_groups`` is set, the batch's first and last (term, salt) runs
-    are skipped (they may continue in neighbouring blocks; the boundary-
-    repair pass handles them).
-
-    salt and tf are DERIVED here (salt = doc_id // salt_span; tf = count of
-    VB terminator bytes per pos_enc value) — they are deliberately not part
-    of the shuffle payload (see prep_postings). One VB encode for the whole
-    batch's doc stream; no per-group Python at all (the reason the
-    reference's per-term merge loop, spimi.rs:63-97, doesn't translate
-    here)."""
-    batch = batch.combine_chunks()
-    n = batch.num_rows
-    if n == 0:
-        return CHUNK_SCHEMA.empty_table()
-    # dictionary-encode terms for cheap comparison + chunk-start take
-    tenc = batch["term"].dictionary_encode().combine_chunks()
-    tcodes = tenc.indices.to_numpy(zero_copy_only=False)
-
-    def resolver(codes_at_starts: np.ndarray) -> pa.Array:
-        return tenc.dictionary.take(pa.array(codes_at_starts)).cast(pa.string())
-
-    if skip_edge_groups:
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salts = doc_ids // salt_span
-        change = np.empty(n, bool)
-        change[0] = True
-        np.logical_or(tcodes[1:] != tcodes[:-1], salts[1:] != salts[:-1], out=change[1:])
-        group_starts = np.flatnonzero(change)
-        group_ids = np.cumsum(change) - 1  # per row
-        if len(group_starts) > 0:
-            keep_group = np.ones(len(group_starts), bool)
-            keep_group[0] = False
-            keep_group[-1] = False
-            row_keep = keep_group[group_ids]
-            if not row_keep.any():
-                return CHUNK_SCHEMA.empty_table()
-            sel = np.flatnonzero(row_keep)
-            batch = batch.take(pa.array(sel))
-        return _chunks_for_sorted_batch(batch, chunk_size, False, salt_span)
-    return _chunks_kernel(batch, chunk_size, salt_span, tcodes, resolver)
-
-
-def _chunks_kernel(batch: pa.Table, chunk_size: int, salt_span: int,
-                   tcodes: np.ndarray, term_resolver,
-                   timings: dict | None = None) -> pa.Table:
-    """Shared vectorized kernel: ``tcodes`` is any int array whose equal runs
-    delimit terms in the (already sorted) batch; ``term_resolver(codes)``
-    materializes the term strings for the chunk-start rows."""
-    import time
-
-    _t = time.perf_counter
-    t0 = _t()
-    n = batch.num_rows
-    if n == 0:
-        return CHUNK_SCHEMA.empty_table()
-    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    salts = doc_ids // salt_span
-    change = np.empty(n, bool)
-    change[0] = True
-    np.logical_or(tcodes[1:] != tcodes[:-1], salts[1:] != salts[:-1], out=change[1:])
-    group_starts = np.flatnonzero(change)
-
-    # position within group → chunk index within group
-    pos_in_group = np.arange(n) - np.repeat(group_starts, np.diff(np.append(group_starts, n)))
-    is_chunk_start = (pos_in_group % chunk_size) == 0
-    chunk_starts = np.flatnonzero(is_chunk_start)
-    n_chunks = len(chunk_starts)
-    chunk_ends = np.append(chunk_starts[1:], n)
-    chunk_seq = (pos_in_group[chunk_starts] // chunk_size).astype(np.int32)
-    if timings is not None:
-        timings["k_grp"] = _t() - t0
-        t0 = _t()
-
-    # --- doc stream: gaps, absolute at chunk starts -----------------------
-    doc_gaps = np.empty(n, np.int64)
-    doc_gaps[0] = doc_ids[0]
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=doc_gaps[1:])
-    doc_gaps[chunk_starts] = doc_ids[chunk_starts]
-    doc_enc, doc_bytelens = vb_encode_array(doc_gaps)
-    doc_bounds = np.zeros(n + 1, np.int64)
-    np.cumsum(doc_bytelens, out=doc_bounds[1:])
-    doc_spans = doc_bounds[np.append(chunk_starts, n)]
-    if timings is not None:
-        timings["k_vb"] = _t() - t0
-        t0 = _t()
-
-    # --- position stream: already VB-encoded per posting by the tokenize
-    # stage (pos_enc binary); chunks just slice the shared byte buffer ------
-    pos_arr = batch["pos_enc"]
-    if isinstance(pos_arr, pa.ChunkedArray):
-        pos_arr = pos_arr.combine_chunks()
-    pos_bounds, pos_data = binary_column_parts(pos_arr)
-    per_posting_bytes = np.diff(pos_bounds)
-    pos_enc = pos_data
-    pos_spans = pos_bounds[np.append(chunk_starts, n)]
-
-    # tf per posting = number of VB terminator bytes in its pos_enc span.
-    # int32 + fused-dtype cumsum: the int64 version allocated ~16 bytes per
-    # pos byte in temporaries (astype temp + csum), and at 8+ concurrent
-    # merge tasks that mmap/munmap churn dominated the wave (page zeroing +
-    # TLB shootdowns — same mechanism as the tokenize sub-batching note in
-    # pipelines/build.py). Safe: pos byte counts per block are < 2^31 by
-    # the binary-offset constraint validated below.
-    term_csum = np.zeros(len(pos_data) + 1, np.int32)
-    np.cumsum(pos_data >= 128, dtype=np.int32, out=term_csum[1:])
-    tfs = term_csum[pos_bounds[1:]] - term_csum[pos_bounds[:-1]]
-    if timings is not None:
-        timings["k_tf"] = _t() - t0
-        t0 = _t()
-
-    # binary_from_spans falls back to large_binary past the int32 offset
-    # range; a block that flips type would mix schemas within one shard's
-    # parquet files and fail far away at read/concat time. Validate HERE so
-    # an oversized sorted block fails at write with an actionable error.
-    doc_gaps_col = binary_from_spans(doc_enc, doc_spans)
-    pos_gaps_col = binary_from_spans(pos_enc, pos_spans)
-    if not (doc_gaps_col.type == pa.binary() and pos_gaps_col.type == pa.binary()):
-        raise ValueError(
-            "sorted merge block exceeds the int32 binary-offset range "
-            "(>2 GiB of encoded bytes in one block); lower "
-            "DataContext.target_max_block_size so chunk tables keep the "
-            "uniform CHUNK_SCHEMA binary type"
-        )
-    list_bounds = pa.array(np.append(chunk_starts, n), type=pa.int32())
-    chunk_rows = pa.table(
-        {
-            "term": term_resolver(tcodes[chunk_starts]),
-            "salt": pa.array(salts[chunk_starts], pa.int64()),
-            "chunk_seq": pa.array(chunk_seq, pa.int32()),
-            "n_postings": pa.array((chunk_ends - chunk_starts).astype(np.int32), pa.int32()),
-            "max_tf": pa.array(np.maximum.reduceat(tfs, chunk_starts).astype(np.int32), pa.int32()),
-            "first_doc_id": pa.array(doc_ids[chunk_starts], pa.int64()),
-            "max_doc_id": pa.array(doc_ids[chunk_ends - 1], pa.int64()),
-            "doc_gaps": doc_gaps_col,
-            "tfs": pa.ListArray.from_arrays(list_bounds, pa.array(tfs, type=pa.int32())),
-            "pos_lens": pa.ListArray.from_arrays(
-                list_bounds, pa.array(per_posting_bytes, type=pa.int32())
-            ),
-            "pos_gaps": pos_gaps_col,
-        }
-    )
-    if timings is not None:
-        timings["k_tbl"] = _t() - t0
-    return chunk_rows
-
-
-def prep_postings(postings_ds, config: EngineConfig):
-    """Filter sentinels; project to the minimal shuffle payload.
-
-    Only (term, doc_id, pos_enc) move through the sort: salt is derived from
-    doc_id in the kernel, and tf is recovered by counting VB terminator
-    bytes in pos_enc — the merge shuffle is bandwidth-bound on a shared
-    object store, so every dropped byte is throughput. Sorting by
-    (term, doc_id) orders identically to (term, salt, doc_id): salt is
-    monotonic in doc_id."""
-
-    def prep(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.not_equal(batch["term"], ""))
-        return batch.select(["term", "doc_id", "pos_enc"])
-
-    return postings_ds.map_batches(prep, batch_format="pyarrow")
-
-
-def merge_postings(postings_ds, config: EngineConfig | None = None):
-    """postings Dataset → chunk-row Dataset. The range-partitioned
-    ``sort(term, salt, doc_id)`` IS the merge shuffle (it subsumes the
-    reference's k-way run merge AND its per-group doc_id ordering); chunk
-    rows are then built by one fully vectorized multi-group kernel per
-    sorted block — no per-group Python anywhere.
-
-    A (term, salt) group that straddles block boundaries is chunked
-    per-fragment: each fragment independently emits ≤chunk_size chunks.
-    That is safe because fragments hold disjoint ascending doc_id ranges, so
-    ordering a term's chunks by (salt, first_doc_id) — not chunk ordinals —
-    reconstructs global doc_id order exactly (query/postings_codec.py).
-    Deviation from the reference's global 128-alignment: a split group may
-    contain a few sub-128 chunks at fragment seams; skip pointers
-    (max_doc_id) and scoring are unaffected. The alternative (boundary
-    repair) re-shuffles the straddling groups, which under Zipfian skew is
-    an inspection-paradox trap: block boundaries fall inside HOT terms, so
-    "just the edge groups" was measured at ~30% of all rows."""
-    config = config or EngineConfig()
-    chunk_size = config.chunk_size
-    salt_span = config.salt_span
-
-    prepped = prep_postings(postings_ds, config)
-    # Coalesce to ~2 blocks per CPU before the sort: Ray's sort exchanges
-    # n_blocks × n_blocks intermediate objects, and hundreds of small input
-    # blocks turn the shuffle into an object-store small-object storm
-    # (measured: 208 blocks → 43k exchange objects → ~3x slower than the
-    # same sort over 64 blocks).
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:  # pragma: no cover
-        ncpu = 8
-    prepped = prepped.repartition(max(16, 2 * ncpu))
-    sorted_ds = prepped.sort(["term", "doc_id"])
-    return sorted_ds.map_batches(
-        lambda b: _chunks_for_sorted_batch(b, chunk_size, False, salt_span),
-        batch_format="pyarrow",
-        batch_size=None,
     )
 
 
@@ -416,11 +213,6 @@ def load_dict_slice_pa(unit_dir: str, tag: str = "") -> tuple[pa.StringArray, np
     return ent[3], ent[1], ent[2]
 
 
-#: bits of the unit-major composite sort key reserved for term_id
-#: (skey = sgroup << _SKEY_TID_BITS | term_id): vocab up to 2^44 terms,
-#: up to 2^19 merge units, skey stays a positive int64.
-_SKEY_TID_BITS = 44
-
 #: target PARQUET bytes per sort-input block (Arrow in memory is ~3x). The
 #: sort-block count must scale with DATA, not only with CPUs: two ~250 MB
 #: prep blocks per merge unit put ~3.4 GB per operator into the streaming
@@ -467,13 +259,38 @@ def size_aware_blocks(parquet_bytes: int, floor: int) -> int:
 
 #: per-unit parquet-bytes ceiling for the single-task merge path: a unit at
 #: this size is ~3x in Arrow plus one sort copy — comfortably inside one
-#: worker's heap. Units larger than this take the global sort-shuffle path.
+#: worker's heap. Units larger than this take the shuffle path
+#: (merge_units_postings).
 _UNIT_TASK_PARQUET_BYTES = 160 << 20
 
-#: row-group size for unit-task shard files — keeps the locator's footer
-#: pruning granularity comparable to the sorted-block files the global path
-#: writes (a few thousand chunk rows per row group).
-_UNIT_TASK_ROW_GROUP = 2048
+
+def _term_id_rows(batch: pa.Table, unit_dir: str, tag: str, unit) -> pa.Table:
+    """Runs rows (term, doc_id, pos_enc) of one merge unit → (shard,
+    term_id, doc_id, pos_enc) through the unit's dictionary slice. Every
+    run term must be in the slice (built from these runs): a stale resume
+    artifact or slice mixup fails loudly here instead of merging postings
+    into a neighbouring term's list."""
+    terms_pa, tids_np, shards_np = load_dict_slice_pa(unit_dir, tag)
+    tcol = batch["term"].combine_chunks()
+    pos = pc.index_in(tcol, value_set=terms_pa)
+    if pos.null_count:
+        missing = pc.unique(tcol.filter(pc.is_null(pos)))
+        raise ValueError(
+            f"run term(s) missing from unit {unit} dictionary slice: "
+            f"{missing.to_pylist()[:5]} (stale runs or wrong slice?)")
+    idx = pos.to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table({
+        "shard": pa.array(shards_np[idx], pa.int64()),
+        "term_id": pa.array(tids_np[idx], pa.int64()),
+        "doc_id": batch["doc_id"],
+        "pos_enc": batch["pos_enc"],
+    })
+
+
+def _terms_of(unit_dir: str, tag: str):
+    """term_ids → their term strings, through the unit's dictionary slice."""
+    terms_pa, tids_np, _ = load_dict_slice_pa(unit_dir, tag)
+    return lambda codes: terms_pa.take(pa.array(np.searchsorted(tids_np, codes)))
 
 
 @ray.remote
@@ -486,22 +303,31 @@ def _merge_unit_to_shards(
     postings_dir: str,
 ) -> dict:
     """ONE merge unit in ONE task: read the unit's runs, map terms to
-    term_ids, sort (term_id, doc_id) in memory, run the chunk kernel, write
-    one parquet file per output shard (shard % merge_units == unit, so a
-    shard's rows come from exactly one unit — each shard dir gets exactly
-    one file, sorted by term: optimal for the locator's footer ranges).
+    term_ids, sort (shard, term_id, doc_id) in memory and write each of the
+    unit's shards as one flat file (stages/postings_file.py). A shard's rows
+    come from exactly one unit (shard % merge_units == unit).
 
     This is the fresh-build fast path when every unit fits one worker's
     heap (``_UNIT_TASK_PARQUET_BYTES``): no shuffle, no sort exchange, no
     barrier — n_units embarrassingly parallel tasks, which is also the
     shape that scales cleanly with cluster size. Larger units fall back to
-    the global sort-shuffle (merge_units_postings). At real scale the
+    the global shuffle (merge_units_postings). At real scale the
     per-node analog is the same: a unit that fits a node merges locally;
-    only oversized units pay the exchange."""
+    only oversized units pay the exchange.
+
+    Rows are taken and encoded in slices of whole terms
+    (postings_file.write_shard_file), not the whole unit at once: whole-
+    unit processing faulted ~2 GB of first-touch temporaries per task, and
+    32 fresh workers doing that simultaneously contended the kernel page
+    allocator hard enough that identical tasks ran 6-20x slower (measured:
+    per-phase minor-fault counts). Slices reuse the same glibc arenas
+    task-over-task, so fault volume tracks the slice, not the unit."""
     import os
     import time
 
     import pyarrow.parquet as pq
+
+    from search_engine_ray.stages.postings_file import shard_file, write_shard_file
 
     ph = {"t_start": time.time(), "cpu0": time.process_time()}
     t0 = time.perf_counter()
@@ -518,89 +344,23 @@ def _merge_unit_to_shards(
     if t.num_rows == 0:
         ph.update(rows=0, unit=unit)
         return ph
-    terms_pa, tids_np, shards_np = load_dict_slice_pa(dict_unit_dir, tag)
-    tcol = t["term"].combine_chunks()
-    pos = pc.index_in(tcol, value_set=terms_pa)
-    if pos.null_count:
-        missing = pc.unique(tcol.filter(pc.is_null(pos)))
-        raise ValueError(
-            f"run term(s) missing from unit {unit} dictionary slice: "
-            f"{missing.to_pylist()[:5]} (stale runs or wrong slice?)"
-        )
-    idx = pos.to_numpy(zero_copy_only=False).astype(np.int64)
-    tids = tids_np[idx]
-    doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    rows = _term_id_rows(t, dict_unit_dir, tag, unit)
+    shards = rows["shard"].to_numpy()
+    tids = rows["term_id"].to_numpy()
     t1 = time.perf_counter()
-    order = np.lexsort((doc_ids, tids))
+    order = np.lexsort((rows["doc_id"].to_numpy(zero_copy_only=False), tids, shards))
     ph["sort"] = time.perf_counter() - t1
 
-    def resolver(codes_at_starts: np.ndarray) -> pa.Array:
-        i = np.searchsorted(tids_np, codes_at_starts)
-        resolver.shards = (shards_np[i] if not hasattr(resolver, "shards")
-                           else np.concatenate([resolver.shards, shards_np[i]]))
-        return terms_pa.take(pa.array(i))
-
-    # Take + kernel run over GROUP-ALIGNED SLICES of the sorted order, not
-    # the whole unit at once. Every (term, salt) group lies entirely inside
-    # one slice (cuts advance to the next group start), so chunk_seq and
-    # chunk alignment are byte-identical to a whole-unit kernel; what
-    # changes is peak fresh heap per task: whole-unit processing faulted
-    # ~2 GB of first-touch temporaries per task, and 32 fresh workers
-    # doing that simultaneously contended the kernel page allocator hard
-    # enough that identical tasks ran 6-20x slower (measured: per-phase
-    # minor-fault counts; a no-Arrow 32-process numpy control showed no
-    # such collapse). Slices reuse the same glibc arenas task-over-task,
-    # so fault volume tracks the ~200 MB slice, not the unit.
     t2 = time.perf_counter()
-    tids_sorted = tids[order]
-    docs_sorted = doc_ids[order].astype(np.int64, copy=False)
-    n = len(order)
-    change = np.empty(n, bool)
-    change[0] = True
-    np.logical_or(tids_sorted[1:] != tids_sorted[:-1],
-                  (docs_sorted[1:] // salt_span) != (docs_sorted[:-1] // salt_span),
-                  out=change[1:])
-    group_starts = np.flatnonzero(change)
-    slice_rows = int(os.environ.get("SE_RAY_MERGE_SLICE", 1_500_000))
-    cuts = [0]
-    while cuts[-1] < n:
-        target = cuts[-1] + slice_rows
-        if target >= n:
-            cuts.append(n)
-            break
-        gi = np.searchsorted(group_starts, target)
-        nxt = int(group_starts[gi]) if gi < len(group_starts) else n
-        cuts.append(nxt if nxt > cuts[-1] else n)
-    ph["grp_scan"] = time.perf_counter() - t2
-
-    t2 = time.perf_counter()
-    outs = []
-    take_s = kern_s = 0.0
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        tk0 = time.perf_counter()
-        batch = t.take(pa.array(order[s0:s1]))
-        take_s += time.perf_counter() - tk0
-        tk0 = time.perf_counter()
-        outs.append(_chunks_kernel(
-            batch, chunk_size, salt_span, tids_sorted[s0:s1], resolver,
-            timings=ph))
-        kern_s += time.perf_counter() - tk0
-    ph["take"] = take_s
-    ph["kernel"] = kern_s
-    out = pa.concat_tables(outs) if len(outs) != 1 else outs[0]
-    shards_at = resolver.shards if outs else np.zeros(0, np.int64)
+    sorted_shards = shards[order]
+    cuts = np.flatnonzero(np.diff(sorted_shards)) + 1
+    terms_of = _terms_of(dict_unit_dir, tag)
     written = 0
-    t3 = time.perf_counter()
-    for s in np.unique(shards_at):
-        sub = out.filter(pa.array(shards_at == s))
-        d = os.path.join(postings_dir, f"shard={int(s)}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            sub, os.path.join(d, f"unit_{unit}.parquet"),
-            row_group_size=_UNIT_TASK_ROW_GROUP,
-        )
-        written += sub.num_rows
-    ph["write"] = time.perf_counter() - t3
+    for a, b in zip(np.append(0, cuts), np.append(cuts, len(order))):
+        written += write_shard_file(
+            shard_file(postings_dir, int(sorted_shards[a])), rows, tids, order[a:b],
+            terms_of, chunk_size, salt_span)
+    ph["write"] = time.perf_counter() - t2
     ph.update(rows=written, unit=unit, total=time.perf_counter() - t0,
               cpu=time.process_time() - ph.pop("cpu0"), t_end=time.time())
     return ph
@@ -635,10 +395,6 @@ def merge_units_task_path(
             print(
                 f"[ unit {p.get('unit')}] start+{p['t_start'] - base:.1f}s "
                 f"read={p.get('read', 0):.1f} sort={p.get('sort', 0):.1f} "
-                f"take={p.get('take', 0):.1f} "
-                f"kernel={p.get('kernel', 0):.1f} "
-                f"(grp={p.get('k_grp', 0):.1f} vb={p.get('k_vb', 0):.1f} "
-                f"tf={p.get('k_tf', 0):.1f} tbl={p.get('k_tbl', 0):.1f}) "
                 f"write={p.get('write', 0):.1f} total={p.get('total', 0):.1f} "
                 f"cpu={p.get('cpu', 0):.1f}",
                 flush=True,
@@ -653,51 +409,120 @@ def unit_task_threshold_bytes() -> int:
         "SE_RAY_UNIT_TASK_PARQUET_BYTES", _UNIT_TASK_PARQUET_BYTES))
 
 
+@ray.remote
+def _join_shard_parts(path: str, parts: list[str]) -> int:
+    from search_engine_ray.stages.postings_file import join_shard_parts
+
+    return join_shard_parts(path, parts)
+
+
+#: bits of the packed sort key reserved for term_id (key = shard <<
+#: _KEY_TID_BITS | term_id): one int64 key column instead of two keeps
+#: the sort payload at (key, doc_id, pos_enc) — up to 2^44 terms and
+#: 2^19 shards
+_KEY_TID_BITS = 44
+
+
+def _write_sorted_shards(rows_ds, postings_dir: str, dict_dir_of, tag: str,
+                         config: EngineConfig) -> list[int]:
+    """Range-partitioned sort of (shard, term_id, doc_id, pos_enc) rows on
+    (shard, term_id, doc_id); each sorted block writes one part file per
+    shard it touches through the shard encoder (write_shard_file), named by
+    its first (term_id, doc_id) key, then each shard's parts are joined in
+    key order into its file (postings_file.join_shard_parts: records are
+    copied as bytes; a term split across blocks is spliced). No task holds
+    more than one sorted block (writers) or one term fragment (joiners), so
+    a unit larger than one worker's heap merges in bounded memory, over as
+    many tasks as it has blocks. ``dict_dir_of(shard)`` names the
+    dictionary slice holding the shard's terms. → per-shard chunk-row
+    counts."""
+    import os
+
+    from search_engine_ray.stages.postings_file import shard_file, write_shard_file
+
+    chunk_size, salt_span = config.chunk_size, config.salt_span
+    tid_mask = np.int64((1 << _KEY_TID_BITS) - 1)
+
+    def pack_key(batch: pa.Table) -> pa.Table:
+        shards = batch["shard"].to_numpy(zero_copy_only=False)
+        tids = batch["term_id"].to_numpy(zero_copy_only=False)
+        if len(tids) and (tids.max() > tid_mask or shards.max() >= 1 << (63 - _KEY_TID_BITS)):
+            raise ValueError("term_id or shard overflows the packed sort key")
+        return pa.table({"key": pa.array((shards << _KEY_TID_BITS) | tids, pa.int64()),
+                         "doc_id": batch["doc_id"], "pos_enc": batch["pos_enc"]})
+
+    def write_parts(batch: pa.Table) -> pa.Table:
+        batch = batch.combine_chunks()
+        if batch.num_rows == 0:
+            return pa.table({"shard": pa.array([], pa.int64()),
+                             "part": pa.array([], pa.string())})
+        keys = batch["key"].to_numpy(zero_copy_only=False)
+        shards, tids = keys >> _KEY_TID_BITS, keys & tid_mask
+        docs = batch["doc_id"].to_numpy(zero_copy_only=False)
+        cuts = np.flatnonzero(np.diff(shards)) + 1
+        out_shards, out_parts = [], []
+        for a, b in zip(np.append(0, cuts), np.append(cuts, len(shards))):
+            k = int(shards[a])
+            part = os.path.join(postings_dir, f"shard={k}",
+                                f"part-{tids[a]:020d}-{docs[a]:020d}.bin")
+            write_shard_file(part, batch.slice(a, b - a), tids[a:b], None,
+                             _terms_of(dict_dir_of(k), tag), chunk_size, salt_span)
+            out_shards.append(k)
+            out_parts.append(part)
+        return pa.table({"shard": pa.array(out_shards, pa.int64()),
+                         "part": pa.array(out_parts, pa.string())})
+
+    written = rows_ds.map_batches(pack_key, batch_format="pyarrow").sort(
+        ["key", "doc_id"]).map_batches(
+        write_parts, batch_format="pyarrow", batch_size=None).take_all()
+    parts: dict[int, list[str]] = {}
+    for r in written:
+        parts.setdefault(r["shard"], []).append(r["part"])
+    return ray.get([_join_shard_parts.remote(shard_file(postings_dir, k), sorted(ps))
+                    for k, ps in sorted(parts.items())])
+
+
 def merge_units_postings(
     runs_dir: str,
     dictionary_dir: str,
     n_units: int,
+    postings_dir: str,
     config: EngineConfig | None = None,
     n_sort_blocks: int = 0,
     dict_slice_tag: str = "",
-):
-    """Single-execution int-keyed merge of ALL merge units at once (the
-    fresh-build path) → chunk-row Dataset with a ``shard`` column.
+) -> list[int]:
+    """Single-execution merge of ALL merge units at once (the fresh-build
+    path for units too large for one task) → the shard files under
+    ``postings_dir``; returns per-shard chunk-row counts.
 
     ``merge_units`` concurrent per-unit executions (one Ray Data job per
     unit in driver threads) serialize on the driver's streaming-executor
     coordination: at 32 CPUs, 8 concurrent unit jobs ran ~2.2s of work each
     in 17s wall, and halving the concurrency made the stage FASTER. One
-    global sort keyed by ``skey = (sgroup << 44) | term_id`` does the same
-    merge in a single execution at full parallelism: unit-major key order
-    means each sorted block is a contiguous key range touching at most a
-    couple of units, so a kernel worker still loads only those units'
-    dictionary slices (load_dict_slice) — nothing vocabulary-sized per
-    worker, exactly like the per-unit path (which remains for partial
-    resume, where only incomplete units re-run).
+    sort over (shard, term_id, doc_id) does the same merge at full
+    parallelism in bounded memory (_write_sorted_shards): a prep worker
+    loads only the dictionary slices of the units its blocks come from
+    (load_dict_slice_pa), and a block's writer only the slices of the
+    shards it touches — nothing vocabulary-sized per worker, exactly like
+    the per-unit path (which remains for partial resume, where only
+    incomplete units re-run). The term string never rides the shuffle:
+    int64 term ids do.
 
     ONE hive read over ``runs_dir`` (sgroup is the partition column) feeds
-    ONE prep operator — the DAG is read → prep → sort → kernel+write, four
-    operators total. The earlier shape (one read+prep branch per unit
-    union-ed together) was 2·n_units+3 operators; the streaming executor
-    reserves memory per operator, and at 2M docs the per-op slivers
-    backpressured the whole pipeline to ~1 concurrent task. Block count is
-    size-aware (size_aware_blocks) for the same reason.
+    ONE prep operator — the DAG is read → prep → sort → write parts, then
+    one join task per shard with several parts.
+    The earlier shape (one read+prep branch per unit union-ed together) was
+    2·n_units+3 operators; the streaming executor reserves memory per
+    operator, and at 2M docs the per-op slivers backpressured the whole
+    pipeline to ~1 concurrent task. Block count is size-aware
+    (size_aware_blocks) for the same reason.
     """
     import os
 
     config = config or EngineConfig()
-    chunk_size = config.chunk_size
-    salt_span = config.salt_span
-    if n_units >= (1 << (63 - _SKEY_TID_BITS)):
-        raise ValueError(f"merge_units {n_units} overflows the skey unit bits")
-
-    unit_dirs = [u for u in range(n_units)
-                 if os.path.isdir(os.path.join(runs_dir, f"sgroup={u}"))]
-    if not unit_dirs:
-        empty = CHUNK_SCHEMA.empty_table().append_column(
-            "shard", pa.array([], pa.int64()))
-        return ray.data.from_arrow(empty)
+    if not any(os.path.isdir(os.path.join(runs_dir, f"sgroup={u}"))
+               for u in range(n_units)):
+        return []
 
     def prep(batch: pa.Table) -> pa.Table:
         batch = batch.combine_chunks()
@@ -708,36 +533,12 @@ def merge_units_postings(
             sg_col = pc.cast(sg_col, pa.int64())  # hive values parse as strings
         sg = sg_col.to_numpy(zero_copy_only=False).astype(np.int64)
         units = np.unique(sg)
-        parts = []
-        for u in units:
-            # read tasks pack whole files, so most batches are unit-pure —
-            # the filter only copies when a block straddles hive dirs
-            sub = batch if len(units) == 1 else batch.filter(pa.array(sg == u))
-            unit_dir = os.path.join(dictionary_dir, f"ugroup={u}")
-            terms_pa, tids_np, _ = load_dict_slice_pa(unit_dir, dict_slice_tag)
-            if len(tids_np) and int(tids_np[-1]) >= (1 << _SKEY_TID_BITS):
-                raise ValueError("term_id overflows the skey term bits")
-            base = np.int64(int(u) << _SKEY_TID_BITS)
-            # hash-based Arrow lookup term → slice position (null = missing);
-            # a stale resume artifact or slice mixup must fail loudly, never
-            # merge postings into a neighboring term's list
-            pos = pc.index_in(sub["term"].combine_chunks(), value_set=terms_pa)
-            if pos.null_count:
-                missing = pc.unique(
-                    sub["term"].combine_chunks().filter(pc.is_null(pos)))
-                raise ValueError(
-                    f"run term(s) missing from unit {u} dictionary slice: "
-                    f"{missing.to_pylist()[:5]} (stale runs or wrong slice?)")
-            idx = pos.to_numpy(zero_copy_only=False).astype(np.int64)
-            skeys = base | tids_np[idx]
-            parts.append(pa.table(
-                {
-                    "skey": pa.array(skeys, pa.int64()),
-                    "doc_id": sub["doc_id"],
-                    "pos_enc": sub["pos_enc"],
-                }
-            ))
-        return pa.concat_tables(parts)
+        # read tasks pack whole files, so most batches are unit-pure — the
+        # filter only copies when a block straddles hive dirs
+        return pa.concat_tables([
+            _term_id_rows(batch if len(units) == 1 else batch.filter(pa.array(sg == u)),
+                          os.path.join(dictionary_dir, f"ugroup={u}"), dict_slice_tag, u)
+            for u in units])
 
     n_blocks = size_aware_blocks(
         dir_parquet_bytes(runs_dir), floor=max(2, n_sort_blocks))
@@ -749,153 +550,37 @@ def merge_units_postings(
         columns=["term", "doc_id", "pos_enc", "sgroup"],
         override_num_blocks=n_blocks,
     )
-    prepped = runs_ds.map_batches(prep, batch_format="pyarrow")
-    sorted_ds = prepped.sort(["skey", "doc_id"])
-
-    tid_mask = np.int64((1 << _SKEY_TID_BITS) - 1)
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        if batch.num_rows == 0:
-            return CHUNK_SCHEMA.empty_table().append_column(
-                "shard", pa.array([], pa.int64()))
-        skeys = batch["skey"].to_numpy(zero_copy_only=False)
-
-        def resolver(codes_at_starts: np.ndarray) -> pa.Array:
-            gs = codes_at_starts >> _SKEY_TID_BITS
-            tids = codes_at_starts & tid_mask
-            terms = np.empty(len(codes_at_starts), dtype=object)
-            shards = np.empty(len(codes_at_starts), np.int64)
-            for g in np.unique(gs):
-                m = gs == g
-                terms_np, tids_np, oshards = load_dict_slice(
-                    os.path.join(dictionary_dir, f"ugroup={g}"), dict_slice_tag)
-                idx = np.searchsorted(tids_np, tids[m])
-                terms[m] = terms_np[idx]
-                shards[m] = oshards[idx]
-            resolver.shards = shards  # picked up after the kernel call
-            return pa.array(terms, type=pa.string())
-
-        out = _chunks_kernel(batch, chunk_size, salt_span, skeys, resolver)
-        return out.append_column("shard", pa.array(resolver.shards, pa.int64()))
-
-    return sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+    return _write_sorted_shards(
+        runs_ds.map_batches(prep, batch_format="pyarrow"), postings_dir,
+        lambda shard: os.path.join(dictionary_dir, f"ugroup={shard % n_units}"),
+        dict_slice_tag, config)
 
 
 def merge_shard_postings(
-    runs_shard_ds,
-    shard_terms=None,
-    shard_tids=None,
+    runs_unit_ds,
+    dict_slice_dir: str,
+    postings_dir: str,
     config: EngineConfig | None = None,
-    n_sort_blocks: int = 4,
-    out_shards=None,
-    dict_slice_dir: str | None = None,
     dict_slice_tag: str = "",
-):
-    """Int-keyed merge of ONE hash shard's runs → chunk-row Dataset.
+) -> list[int]:
+    """Merge ONE merge unit's runs (the per-unit resume path) → the shard
+    files of the unit's shards under ``postings_dir``; returns per-shard
+    chunk-row counts.
 
-    The shuffle payload is (term_id:int64, doc_id:int64, pos_enc) — the term
-    STRING never moves through the sort (the measured merge bottleneck is
+    Same sort-and-join as the fresh-build path (_write_sorted_shards),
+    over one unit. The shuffle payload is (shard, term_id, doc_id,
+    pos_enc) — the term
+    STRING never moves through it (the measured merge bottleneck is
     object-store bandwidth, and repeated UTF-8 terms were ~40% of the
-    payload; int64 keys also sort several times faster than strings). The
-    shard's (term → term_id) slice is broadcast once via ``ray.put`` —
-    per-shard slices keep the broadcast at vocab/n_shards entries however
-    large the corpus — and term strings are re-attached to the chunk rows
-    after the sort (term_id is the dense rank of the globally sorted term,
-    so (term_id, doc_id) order == (term, doc_id) order).
-
-    The (term → term_id) slice arrives one of two ways:
-
-    * ``dict_slice_dir`` — the unit's hive dir under ``dictionary/`` (the
-      at-scale path): each WORKER loads the slice once per process from
-      shared storage (load_dict_slice); the driver never touches the
-      vocabulary and the ``shard`` output column comes from the slice.
-    * ``shard_terms``/``shard_tids`` (+ optional ``out_shards``) — explicit
-      arrays, broadcast once via ``ray.put`` (small-vocab/test path).
-      ``shard_terms`` must be sorted ascending (string order) with
-      ``shard_tids`` the matching dense term_ids (therefore also ascending).
-
-    When shard ids are available (either way), chunk rows gain a ``shard``
-    column so one ``write_parquet(partition_cols=["shard"])`` fans a merge
-    unit's output into its per-shard directories.
-    """
+    payload). Each WORKER loads the unit's (term → term_id, shard) slice
+    once per process from ``dict_slice_dir`` (the unit's hive dir under
+    ``dictionary/``, load_dict_slice_pa); the driver never touches the
+    vocabulary. Term strings are re-attached per shard at write time
+    (term_id is the dense rank of the globally sorted term, so (term_id,
+    doc_id) order == (term, doc_id) order)."""
     config = config or EngineConfig()
-    chunk_size = config.chunk_size
-    salt_span = config.salt_span
-    if dict_slice_dir is not None:
-        map_ref = None
-        with_shard_col = True
-    else:
-        shard_terms = np.asarray(shard_terms, dtype=object)
-        shard_tids = np.asarray(shard_tids, dtype=np.int64)
-        out_shards = None if out_shards is None else np.asarray(out_shards, np.int64)
-        map_ref = ray.put((shard_terms, shard_tids, out_shards))
-        with_shard_col = out_shards is not None
-
-    def _slice() -> tuple:
-        if dict_slice_dir is not None:
-            return load_dict_slice(dict_slice_dir, dict_slice_tag)
-        return ray.get(map_ref)
-
-    def prep(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        terms_np, tids_np, _ = _slice()
-        tenc = batch["term"].dictionary_encode().combine_chunks()
-        uniq = np.asarray(tenc.dictionary.to_pylist(), dtype=object)
-        idx = np.searchsorted(terms_np, uniq)
-        # every run term must exist in the dictionary slice (built from these
-        # runs). Verify the lookup HIT: a stale resume artifact or slice
-        # mixup would otherwise silently merge postings into a neighboring
-        # term's list via the clamped index.
-        if len(uniq):
-            bad = (idx >= len(terms_np)) | (terms_np[np.minimum(idx, len(terms_np) - 1)] != uniq)
-            if bad.any():
-                raise ValueError(
-                    f"run term(s) missing from shard dictionary slice: "
-                    f"{uniq[bad][:5].tolist()} (stale runs or wrong slice?)"
-                )
-        tid_u = tids_np[idx] if len(uniq) else tids_np[:0]
-        tids = tid_u[tenc.indices.to_numpy(zero_copy_only=False)]
-        return pa.table(
-            {
-                "term_id": pa.array(tids, pa.int64()),
-                "doc_id": batch["doc_id"],
-                "pos_enc": batch["pos_enc"],
-            }
-        )
-
-    prepped = runs_shard_ds.map_batches(prep, batch_format="pyarrow")
-    if n_sort_blocks > 0:
-        # coalesce: a shard's runs arrive as many small per-task files;
-        # sorting n_blocks² exchange objects per shard × n_shards would be
-        # an object storm (same effect measured for the global sort). The
-        # caller can pass 0 when the read is already coalesced
-        # (override_num_blocks) — one less all-to-all pass.
-        prepped = prepped.repartition(max(2, n_sort_blocks))
-    sorted_ds = prepped.sort(["term_id", "doc_id"])
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        if batch.num_rows == 0:
-            empty = CHUNK_SCHEMA.empty_table()
-            if with_shard_col:
-                empty = empty.append_column("shard", pa.array([], pa.int64()))
-            return empty
-        terms_np, tids_np, oshards = _slice()
-        terms_pa = pa.array(terms_np, type=pa.string())
-        tcodes = batch["term_id"].to_numpy(zero_copy_only=False)
-        start_slice_idx: list[np.ndarray] = []
-
-        def resolver(codes_at_starts: np.ndarray) -> pa.Array:
-            idx = np.searchsorted(tids_np, codes_at_starts)
-            start_slice_idx.append(idx)
-            return terms_pa.take(pa.array(idx))
-
-        out = _chunks_kernel(batch, chunk_size, salt_span, tcodes, resolver)
-        if oshards is not None:
-            out = out.append_column(
-                "shard", pa.array(oshards[start_slice_idx[0]], pa.int64())
-            )
-        return out
-
-    return sorted_ds.map_batches(kernel, batch_format="pyarrow", batch_size=None)
+    prepped = runs_unit_ds.map_batches(
+        lambda b: _term_id_rows(b, dict_slice_dir, dict_slice_tag, dict_slice_dir),
+        batch_format="pyarrow")
+    return _write_sorted_shards(prepped, postings_dir, lambda _shard: dict_slice_dir,
+                                dict_slice_tag, config)

@@ -34,17 +34,26 @@ def manifest_path(stage_dir: str) -> str:
 
 
 def scan_partitions(stage_dir: str) -> list[dict]:
-    """Enumerate produced parquet files (per-partition lineage entries)."""
+    """Enumerate produced files (per-partition lineage entries): parquet
+    files with their row counts, and postings shard files
+    (stages/postings_file.py) with the file size as bytes and, as rows,
+    the chunk rows ``read_chunk_rows`` regenerates from the file — the row
+    unit the postings stage has always reported."""
+    from search_engine_ray.stages.postings_file import SHARD_FILE, shard_file_rows
+
     out = []
     for root, _dirs, files in os.walk(stage_dir):
         for f in sorted(files):
-            if f.endswith(".parquet"):
+            if f.endswith(".parquet") or f == SHARD_FILE:
                 p = os.path.join(root, f)
                 entry = {"path": os.path.relpath(p, stage_dir), "bytes": os.path.getsize(p)}
                 try:
-                    import pyarrow.parquet as pq
+                    if f == SHARD_FILE:
+                        entry["rows"] = shard_file_rows(p)
+                    else:
+                        import pyarrow.parquet as pq
 
-                    entry["rows"] = pq.read_metadata(p).num_rows
+                        entry["rows"] = pq.read_metadata(p).num_rows
                 except Exception:
                     entry["rows"] = None
                 out.append(entry)

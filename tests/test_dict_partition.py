@@ -5,7 +5,9 @@ materialized on the driver during the postings merge."""
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from search_engine_ray.config import EngineConfig
@@ -13,6 +15,15 @@ from search_engine_ray.functions.hashing import poly_hash_str
 from search_engine_ray.pipelines.build import IndexPaths, build_index
 from search_engine_ray.sources.webpages import generate_webpages
 from search_engine_ray.stages.merge import load_dict_slice
+from search_engine_ray.stages.postings_file import ShardFile, read_chunk_rows, shard_files
+
+
+def _chunk_rows(out: str) -> pa.Table:
+    """The index's chunk rows (read_chunk_rows) in (term, salt, chunk_seq)
+    order."""
+    t = pa.concat_tables(ray.get(read_chunk_rows(IndexPaths(out).postings).to_arrow_refs()))
+    return t.combine_chunks().sort_by(
+        [("term", "ascending"), ("salt", "ascending"), ("chunk_seq", "ascending")])
 
 
 def test_dictionary_hive_partitioned_by_merge_unit(ray_session, tmp_path):
@@ -77,12 +88,8 @@ def test_stale_slice_cache_invalidated_by_tag(ray_session, tmp_path):
     p = IndexPaths(out)
     dic = pq.read_table(p.dictionary, columns=["term"])
     post_terms = set()
-    for root, _dirs, files in os.walk(p.postings):
-        for f in files:
-            if f.endswith(".parquet"):
-                post_terms |= set(
-                    pq.read_table(os.path.join(root, f), columns=["term"])["term"].to_pylist()
-                )
+    for path in shard_files(p.postings):
+        post_terms |= set(ShardFile(path).terms)
     assert post_terms == set(dic["term"].to_pylist())
 
 
@@ -101,13 +108,10 @@ def test_global_merge_path_matches_per_unit(ray_session, tmp_path, monkeypatch):
     out_u = str(tmp_path / "idx_perunit")
     build_index(pages, out_u, EngineConfig())
 
-    # chunk FRAGMENTATION may differ (sorted-block boundaries fall in
-    # different places per path — documented deviation in stages/merge.py),
-    # so compare DECODED postings per term, not raw chunk rows.
     def decoded(out):
         from search_engine_ray.query.postings_codec import decode_term_chunks
 
-        t = pq.read_table(IndexPaths(out).postings)
+        t = _chunk_rows(out)
         per_term = {}
         for term in set(t["term"].to_pylist()):
             import pyarrow.compute as pc
@@ -120,6 +124,9 @@ def test_global_merge_path_matches_per_unit(ray_session, tmp_path, monkeypatch):
     a, b = decoded(out_g), decoded(out_u)
     assert a.keys() == b.keys()
     assert a == b
+    # chunk rows are regenerated per (term, salt), so both paths give the
+    # same rows, not only the same decoded postings
+    assert _chunk_rows(out_g).equals(_chunk_rows(out_u))
 
     eg, eu = SearchEngine(out_g), SearchEngine(out_u)
     for q in ("alpha beta", "the quick", "zzz nothing"):
@@ -147,11 +154,11 @@ def test_unit_task_merge_matches_global_sort_path(ray_session, tmp_path, monkeyp
     for d in os.listdir(pt.postings):
         if d.startswith("shard="):
             files = [f for f in os.listdir(os.path.join(pt.postings, d))
-                     if f.endswith(".parquet")]
-            assert len(files) == 1, (d, files)
+                     if not f.startswith("_")]
+            assert files == ["postings.bin"], (d, files)
 
     def decoded(out):
-        t = pq.read_table(IndexPaths(out).postings)
+        t = _chunk_rows(out)
         return {
             term: (lambda tp: (tp.doc_ids.tolist(), tp.tfs.tolist(),
                                tp.pos_offsets.tolist(), tp.pos_values.tolist()))(
@@ -163,3 +170,49 @@ def test_unit_task_merge_matches_global_sort_path(ray_session, tmp_path, monkeyp
     et, eg = SearchEngine(out_t), SearchEngine(out_g)
     for q in ("alpha beta", "the quick", "zzz nothing"):
         assert et.bm25_topk(q, 10) == eg.bm25_topk(q, 10)
+
+
+def test_sorted_part_merges_write_unit_task_bytes(ray_session, tmp_path, monkeypatch):
+    """The sort-and-join merges — the fresh-build merge_units_postings and
+    the per-unit resume path — over sort blocks small enough that shards
+    arrive in several part files, write the very shard files the
+    single-task-per-unit merge writes."""
+    from search_engine_ray.stages import merge
+    from search_engine_ray.stages.postings_file import shard_file
+
+    pages = generate_webpages(400, vocab_size=900, tokens_per_doc=60, seed=31)
+    outs = {"task": str(tmp_path / "idx_task")}
+    build_index(pages, outs["task"], EngineConfig())
+
+    n_parts = []
+    join = merge._join_shard_parts
+
+    class CountingJoin:
+        @staticmethod
+        def remote(path, parts):
+            n_parts.append(len(parts))
+            return join.remote(path, parts)
+
+    monkeypatch.setattr(merge, "_join_shard_parts", CountingJoin)
+    monkeypatch.setenv("SE_RAY_SORT_BLOCK_PARQUET_BYTES", str(16 << 10))
+    monkeypatch.setenv("SE_RAY_MERGE_UNIT_TASK", "0")
+    outs["global"] = str(tmp_path / "idx_global")
+    build_index(pages, outs["global"], EngineConfig())
+    monkeypatch.setenv("SE_RAY_MERGE_PER_UNIT", "1")
+    outs["unit"] = str(tmp_path / "idx_unit")
+    build_index(pages, outs["unit"], EngineConfig())
+    assert max(n_parts) > 1, n_parts
+
+    def shard_bytes(out):
+        p = IndexPaths(out).postings
+        files = shard_files(p)
+        assert files == [shard_file(p, k) for k in range(len(files))]
+        for f in files:  # no part file left behind
+            assert [n for n in os.listdir(os.path.dirname(f))
+                    if not n.startswith("_")] == ["postings.bin"]
+        return [open(f, "rb").read() for f in files]
+
+    want = shard_bytes(outs["task"])
+    assert len(want) == EngineConfig().index_shards
+    assert shard_bytes(outs["global"]) == want
+    assert shard_bytes(outs["unit"]) == want

@@ -285,12 +285,22 @@ class TestStaleRebuild:
         out = str(tmp_path / "idx")
         ds = ray.data.from_items(rows)
         build_index(ds, out, EngineConfig(chunk_size=4))
-        files_v1 = set(glob.glob(os.path.join(out, "postings", "*.parquet")))
+        def shard_files():
+            # (path, chunk_size its footer records): the file names are
+            # fixed, so a stale file shows as the old build's chunk_size
+            from search_engine_ray.stages.postings_file import ShardFile
+
+            return {(p, ShardFile(p).chunk_size) for p in glob.glob(
+                os.path.join(out, "postings", "**", "postings.bin"), recursive=True)}
+
+        files_v1 = shard_files()
+        assert files_v1 and {cs for _p, cs in files_v1} == {4}
         # different config → different fingerprint → full rebuild
         ds2 = ray.data.from_items(rows)
         build_index(ds2, out, EngineConfig(chunk_size=8), resume=True)
-        files_v2 = set(glob.glob(os.path.join(out, "postings", "*.parquet")))
+        files_v2 = shard_files()
         assert not (files_v1 & files_v2), "stale files survived the rebuild"
+        assert {p for p, _cs in files_v1} == {p for p, _cs in files_v2}
         eng = SearchEngine(out, EngineConfig(chunk_size=8), build_bktree=False)
         assert eng.boolean_and("alpha beta").tolist() == list(range(1, 31))
 

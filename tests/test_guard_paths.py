@@ -4,9 +4,10 @@ fixtures (the guards existed; only happy paths were covered before):
 * merge stage's missing-term guard — a rogue runs file whose term is
   absent from the shard dictionary slice must fail LOUDLY on resume, not
   silently merge postings into a neighboring term's list.
-* locator prefix-max bound — a wide straddling row group hiding behind
-  many narrow ones must still be found (exactly the layout a fixed scan
-  margin would miss), and statistics-less files degrade to match-all.
+* snapshot band index — a probe against an index whose stored
+  signatures disagree with its meta.json must raise, not match nothing.
+
+Damaged postings shard files are covered in test_postings_file.py.
 """
 
 import glob
@@ -21,7 +22,6 @@ import pytest
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.hashing import hash_strings_arrow
 from search_engine_ray.pipelines.build import IndexPaths, build_index
-from search_engine_ray.query.locator import _ShardIndex
 from search_engine_ray.sources.webpages import generate_webpages
 
 
@@ -55,48 +55,6 @@ class TestMergeMissingTermGuard:
             os.remove(paths.stats)
         with pytest.raises(Exception, match="missing from .* dictionary slice"):
             build_index(corpus, out, cfg, resume=True)
-
-
-class TestLocatorPrefixMaxBound:
-    @staticmethod
-    def _write(dirpath, name, terms, stats=True):
-        pq.write_table(
-            pa.table({"term": pa.array(terms, pa.string()),
-                      "v": pa.array(range(len(terms)), pa.int64())}),
-            os.path.join(dirpath, name), write_statistics=stats)
-
-    def _brute(self, idx: _ShardIndex, term: str):
-        return sorted((p, rg) for tmin, tmax, p, rg in zip(
-            idx.tmins, idx.tmaxs, idx.paths, idx.rgs) if tmin <= term <= tmax)
-
-    def test_wide_straddler_behind_narrow_intervals(self, tmp_path):
-        d = str(tmp_path / "shard")
-        os.makedirs(d)
-        # one wide row group (a..z) sorts FIRST by tmin, then many narrow
-        # disjoint ones — the exact layout a fixed backward-scan margin
-        # would stop short of
-        self._write(d, "wide.parquet", ["aaa", "zzz"])
-        for i, lo in enumerate("bcdefghij"):
-            self._write(d, f"narrow{i}.parquet", [f"{lo}a", f"{lo}m"])
-        idx = _ShardIndex(d)
-        for probe in ["ham", "hz", "ba", "yy", "aaa", "zzz", "jm"]:
-            got = sorted(idx.row_groups_for(probe))
-            assert got == self._brute(idx, probe), probe
-            assert any("wide" in p for p, _ in got), probe  # straddler found
-        assert idx.row_groups_for("zzzz") == []  # past every interval
-
-    def test_statless_file_degrades_to_match_all(self, tmp_path):
-        d = str(tmp_path / "shard2")
-        os.makedirs(d)
-        self._write(d, "nostats.parquet", ["mmm", "nnn"], stats=False)
-        self._write(d, "normal.parquet", ["bbb", "ccc"])
-        idx = _ShardIndex(d)
-        assert not idx.ordered  # fallback flagged
-        # stats-less interval matches ANY probe (no false negatives)
-        for probe in ["aaa", "mmm", "zzz"]:
-            assert any("nostats" in p for p, _ in idx.row_groups_for(probe))
-        got = idx.row_groups_for("bbb")
-        assert any("normal" in p for p, _ in got)
 
 
 class TestStaleSnapshotIndexGuard:

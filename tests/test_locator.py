@@ -1,21 +1,27 @@
-"""Term-addressed postings reads (query/locator.py): cache-cold queries must
-touch only the term's hash shard and only the row groups whose footer range
-covers the term — the Ray-native equivalent of the reference's term →
-block_ids addressing (index_merge_writer.rs:65-68, index_metadata.rs:3-48)."""
+"""Term-addressed postings reads (query/locator.py): a cache-cold query
+reads one record from the term's hash-shard file — exactly its lean bytes
+for BM25, its whole record with positions — the Ray-native equivalent of
+the reference's term → block_ids addressing (index_merge_writer.rs:65-68,
+index_metadata.rs:3-48)."""
 
 import glob
+import importlib.util
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.hashing import hash_strings_arrow, poly_hash_str
 from search_engine_ray.pipelines.build import build_index
 from search_engine_ray.query.engine import SearchEngine
+from search_engine_ray.query.postings_codec import LEAN_COLUMNS, decode_term_chunks
 from search_engine_ray.sources.webpages import generate_webpages
+from search_engine_ray.stages.postings_file import ShardFile, read_chunk_rows, shard_file
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +33,13 @@ def sharded_index(ray_session, tmp_path_factory):
     return out, cfg
 
 
+def _mid_df_term(eng) -> str:
+    dic = pq.read_table(eng.paths.dictionary, columns=["term", "df"]).to_pandas()
+    return dic.sort_values("df").iloc[len(dic) // 2]["term"]
+
+
 class TestHashKernel:
     def test_vectorized_matches_scalar(self):
-        import pyarrow as pa
-
         strs = ["", "a", "zz", "hello", "ünïcode", "x" * 500, "term42"]
         arr = pa.array(strs, pa.string())
         h = hash_strings_arrow(arr)
@@ -49,41 +58,39 @@ class TestLocator:
         assert len(dirs) == cfg.index_shards
         for d in dirs:
             assert os.path.exists(os.path.join(d, "_MANIFEST.json"))
+            # exactly one data file per shard: its flat postings file
+            assert sorted(f for f in os.listdir(d) if not f.startswith("_")) == [
+                "postings.bin"]
 
-    def test_cold_read_touches_one_shard_few_row_groups(self, sharded_index):
+    def test_cold_read_reads_one_record(self, sharded_index):
         out, cfg = sharded_index
         eng = SearchEngine(out, cfg, build_bktree=False)
-        # pick a real mid-frequency term
-        import pyarrow.parquet as pq2
+        term = _mid_df_term(eng)
+        shard = eng.locator.shard_of(term)
+        _off, lean, nbytes, df = ShardFile(shard_file(eng.paths.postings, shard)).entry(term)
+        assert 0 < lean < nbytes
 
-        dic = pq2.read_table(eng.paths.dictionary, columns=["term", "df"]).to_pandas()
-        term = dic.sort_values("df").iloc[len(dic) // 2]["term"]
-        n_files_total = len(glob.glob(os.path.join(out, "postings", "shard=*", "*.parquet")))
-        assert n_files_total >= cfg.index_shards  # addressing has something to skip
-
-        f0, r0 = eng.locator.files_touched, eng.locator.row_groups_touched
-        tp = eng.get_postings(term)
-        assert tp is not None and tp.df > 0
-        files = eng.locator.files_touched - f0
-        rgs = eng.locator.row_groups_touched - r0
-        shard_files = len(glob.glob(os.path.join(
-            out, "postings", f"shard={eng.locator.shard_of(term)}", "*.parquet")))
-        assert files <= shard_files < n_files_total
-        assert rgs <= files + 2  # row-group minimal, not whole-shard scans
+        # BM25 miss: one pread of the record's lean part
+        assert eng.get_postings(term, positions=False).df == df
+        assert (eng.locator.reads, eng.locator.bytes_read) == (1, lean)
+        # positional upgrade: one pread of the whole record
+        assert len(eng.get_postings(term).pos_values) > 0
+        assert (eng.locator.reads, eng.locator.bytes_read) == (2, lean + nbytes)
+        # only the term's own shard file was opened
+        assert list(eng.locator._shards) == [shard]
 
     def test_locator_read_equals_full_scan(self, sharded_index):
         out, cfg = sharded_index
         eng = SearchEngine(out, cfg, build_bktree=False)
         dic = pq.read_table(eng.paths.dictionary, columns=["term"]).to_pandas()
-        full = pq.read_table(glob.glob(os.path.join(out, "postings", "shard=*", "*.parquet")))
+        full = pa.concat_tables(ray.get(read_chunk_rows(eng.paths.postings).to_arrow_refs()))
         for term in dic["term"].sample(25, random_state=7):
-            got = eng.locator.read(term).sort_by([("salt", "ascending"), ("chunk_seq", "ascending")])
-            want = full.filter(pc.equal(full["term"], term)).sort_by(
-                [("salt", "ascending"), ("chunk_seq", "ascending")]
-            )
-            assert got.num_rows == want.num_rows, term
-            assert got.select(["first_doc_id", "max_doc_id"]).equals(
-                want.select(["first_doc_id", "max_doc_id"])), term
+            got = decode_term_chunks(eng.locator.read(term))
+            want = decode_term_chunks(full.filter(pc.equal(full["term"], term)))
+            np.testing.assert_array_equal(got.doc_ids, want.doc_ids, err_msg=term)
+            np.testing.assert_array_equal(got.tfs, want.tfs, err_msg=term)
+            np.testing.assert_array_equal(got.pos_offsets, want.pos_offsets, err_msg=term)
+            np.testing.assert_array_equal(got.pos_values, want.pos_values, err_msg=term)
 
     def test_missing_term_empty(self, sharded_index):
         out, cfg = sharded_index
@@ -91,16 +98,17 @@ class TestLocator:
         assert eng.get_postings("nosuchtermxyz") is None
         assert eng.locator.read("nosuchtermxyz").num_rows == 0
 
-    def test_wand_feed_prunes_positions(self, sharded_index):
+    def test_lean_read_excludes_positions(self, sharded_index):
         out, cfg = sharded_index
         eng = SearchEngine(out, cfg, build_bktree=False)
         dic = pq.read_table(eng.paths.dictionary, columns=["term"]).to_pandas()
         term = dic["term"].iloc[0]
-        chunks = eng.get_chunks(term)
-        assert chunks is not None
-        assert "pos_gaps" not in chunks.column_names
-        assert "pos_lens" not in chunks.column_names
-        assert {"max_tf", "max_doc_id", "doc_gaps", "tfs"} <= set(chunks.column_names)
+        rec = eng.locator.read(term, columns=LEAN_COLUMNS)
+        assert not rec.positional and len(rec.data) == rec.lean_nbytes
+        assert decode_term_chunks(rec).pos_offsets is None
+        cols = ["term", "n_postings", "max_tf", "max_doc_id", "doc_gaps", "tfs"]
+        chunks = read_chunk_rows(eng.paths.postings, cols).take_all()
+        assert chunks and set(chunks[0]) == set(cols)
 
     def test_wand_matches_exhaustive_on_sharded_layout(self, sharded_index):
         out, cfg = sharded_index
@@ -111,3 +119,28 @@ class TestLocator:
         assert eng.bm25_topk_wand(q, 10) == eng.bm25_topk(q, 10)
         ids = eng.boolean_and(q)
         assert isinstance(ids, np.ndarray)
+
+
+def test_query_trace_reports_locator_reads(sharded_index):
+    """perfbench's per-layer tracer runs over a built index: cache-miss
+    queries go through the traced ``locator.read``."""
+    out, cfg = sharded_index
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    eng = SearchEngine(out, cfg, build_bktree=False)
+    dic = pq.read_table(eng.paths.dictionary, columns=["term", "df"]).to_pandas()
+    terms = dic.sort_values("df", ascending=False)["term"].tolist()
+    qt = tracing.QueryTrace(eng)
+    try:
+        for i in range(0, 40, 2):
+            assert qt.run(f"{terms[i]} {terms[i + 1]}")
+        m = qt.layer_metrics()
+    finally:
+        qt.remove()
+    assert m["query.locator.read.calls_per_q"] > 0
+    assert m["query.codec.postings_per_q"] > 0
+    assert m["query.locator.bytes_per_read"] > 0

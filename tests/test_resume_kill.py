@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 SCRIPT = r"""
 import sys
 import ray
@@ -32,7 +34,7 @@ ray.shutdown()
 @pytest.mark.slow
 def test_kill_mid_build_then_resume(tmp_path):
     out = str(tmp_path / "idx")
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO_ROOT)
 
     # run 1: kill as soon as the runs checkpoint manifest exists (mid-build)
     p = subprocess.Popen([sys.executable, "-c", SCRIPT, out], env=env,
@@ -69,6 +71,29 @@ def test_kill_mid_build_then_resume(tmp_path):
         assert all("path" in e and "rows" in e for e in m["partitions"])
 
 
+# Holds the build still right after the FIRST postings shard manifest is
+# written, so the kill lands with some shards complete and the rest not —
+# deterministically. Racing the build's own timing instead only hit the
+# few milliseconds between the last shard manifest and stats.json.
+PAUSE_AFTER_FIRST_SHARD = r"""
+import sys
+import time
+from search_engine_ray.state import manifests
+
+_write = manifests.write_manifest
+
+def write_then_pause(stage_dir, stage, fp, extra=None):
+    doc = _write(stage_dir, stage, fp, extra)
+    if stage.startswith("postings/shard="):
+        print("SHARD-MANIFEST-WRITTEN", flush=True)
+        time.sleep(600)  # killed by the test
+    return doc
+
+manifests.write_manifest = write_then_pause
+exec(compile(sys.argv.pop(1), "<build>", "exec"))  # argv[1] is then out
+"""
+
+
 @pytest.mark.slow
 def test_kill_mid_postings_shards_then_resume(tmp_path):
     """Per-PARTITION resume: kill while some postings shards are complete
@@ -77,16 +102,17 @@ def test_kill_mid_postings_shards_then_resume(tmp_path):
     import glob
 
     out = str(tmp_path / "idx")
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO_ROOT)
 
-    p = subprocess.Popen([sys.executable, "-c", SCRIPT, out], env=env,
-                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    # run 1 pauses inside the postings stage once one shard manifest is
+    # on disk; kill it there
+    p = subprocess.Popen([sys.executable, "-c", PAUSE_AFTER_FIRST_SHARD, SCRIPT, out],
+                         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     pattern = os.path.join(out, "postings", "shard=*", "_MANIFEST.json")
     deadline = time.time() + 180
     killed = False
     while time.time() < deadline:
-        done_shards = glob.glob(pattern)
-        if len(done_shards) >= 1 and not os.path.exists(os.path.join(out, "stats.json")):
+        if glob.glob(pattern):
             p.send_signal(signal.SIGKILL)
             killed = True
             break
@@ -94,16 +120,16 @@ def test_kill_mid_postings_shards_then_resume(tmp_path):
             break
         time.sleep(0.02)
     p.wait(timeout=60)
-    if not killed:
-        pytest.skip("build finished before a mid-postings kill window opened")
+    assert killed, "build never reached the postings stage"
+    assert not os.path.exists(os.path.join(out, "stats.json"))
 
     # resume granularity is the merge UNIT (shards congruent mod merge_units):
     # only units whose EVERY shard manifest existed at kill time must be kept
     # (default config: one unit per shard, so any present manifest is a
-    # complete unit — keeps the kill window from skipping this test)
+    # complete unit)
     n_shards, n_units = 32, 32
     complete = sorted(glob.glob(pattern))
-    assert complete
+    assert 0 < len(complete) < n_shards, complete
 
     def unit_of(path):
         return int(path.split("shard=")[1].split("/")[0]) % n_units
@@ -114,15 +140,15 @@ def test_kill_mid_postings_shards_then_resume(tmp_path):
     full_units = {u: ms for u, ms in present_units.items()
                   if len(ms) == n_shards // n_units}
     mtimes = {m: os.path.getmtime(m) for ms in full_units.values() for m in ms}
+    assert mtimes, "no merge unit was complete at kill time"
 
     done = subprocess.run([sys.executable, "-c", SCRIPT, out], env=env,
                           capture_output=True, text=True, timeout=300)
     assert "BUILD-COMPLETE" in done.stdout, done.stdout[-2000:]
-    if not mtimes:
-        pytest.skip("kill landed before any full unit completed")
     for m, t0 in mtimes.items():
         assert os.path.getmtime(m) == t0, f"completed unit rebuilt: {m}"
     # and the index is whole: every shard manifest present + top-level one
     assert len(glob.glob(pattern)) == n_shards
+    assert json.load(open(os.path.join(out, "postings", "_MANIFEST.json")))["complete"]
     stats = json.load(open(os.path.join(out, "stats.json")))
     assert stats["num_docs"] == 3000

@@ -4,8 +4,11 @@ compaction reproduces a fresh build value-identically (dictionary + chunk
 rows), all through the standard build/engine layers."""
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.textproc import synthesize_html
@@ -21,6 +24,7 @@ from search_engine_ray.pipelines.segments import (
 from search_engine_ray.query.engine import SearchEngine
 from search_engine_ray.query.segmented import SegmentedSearchEngine
 from search_engine_ray.sources.webpages import _url_for
+from search_engine_ray.stages.postings_file import read_chunk_rows
 
 TEXTS = [
     "zero first word at position zero",
@@ -42,6 +46,12 @@ QUERIES = ["quick brown", "common", "alpha beta", "fox", "hello world",
 
 CFG = EngineConfig(chunk_size=4, salt_span=8, tokenize_batch_size=7)
 SPLIT = 13  # urls are zero-padded by index → halves preserve global order
+
+
+def _chunk_rows(postings_dir, columns=None) -> pa.Table:
+    """An index's chunk rows, regenerated from its shard files."""
+    return pa.concat_tables(ray.get(
+        read_chunk_rows(postings_dir, columns).to_arrow_refs())).combine_chunks()
 
 
 def _pages(texts, start):
@@ -260,8 +270,8 @@ class TestCompaction:
                 "pos_gaps"]
         key = [("term", "ascending"), ("salt", "ascending"),
                ("first_doc_id", "ascending"), ("chunk_seq", "ascending")]
-        pa_ = pq.read_table(a.postings, columns=cols).combine_chunks().sort_by(key)
-        pb_ = pq.read_table(b.postings, columns=cols).combine_chunks().sort_by(key)
+        pa_ = _chunk_rows(a.postings, cols).sort_by(key)
+        pb_ = _chunk_rows(b.postings, cols).sort_by(key)
         assert pa_.equals(pb_)
         assert load_stats(seg_dir)["num_docs"] == load_stats(full_dir)["num_docs"]
         assert load_stats(seg_dir)["avgdl"] == load_stats(full_dir)["avgdl"]
@@ -713,11 +723,14 @@ class TestModesGainedBySegments:
         assert seg.num_terms == full.num_terms
         assert seg.vocabulary()[0] == full.vocabulary()[0]
         np.testing.assert_array_equal(seg.vocabulary()[1], full.vocabulary()[1])
+        seg_rows = pa.concat_tables([_chunk_rows(e.paths.postings) for e in seg.engines])
+        full_rows = _chunk_rows(full.paths.postings)
         for t in ("common", "alpha", "filler", "nonexistentterm"):
             assert seg.lookup(t) == full.lookup(t)
-            chunks = seg.get_chunks(t)
-            if chunks is None:
-                assert full.get_chunks(t) is None
+            chunks = seg_rows.filter(pc.equal(seg_rows["term"], t))
+            if chunks.num_rows == 0:
+                assert full.lookup(t) is None
+                assert not pc.any(pc.equal(full_rows["term"], t)).as_py()
                 continue
             np.testing.assert_array_equal(decode_term_chunks(chunks).doc_ids,
                                           full.get_postings(t).doc_ids)

@@ -18,6 +18,10 @@ Zipf corpus under ``ray.init(num_cpus=1)`` and times ``bm25_topk`` (dense
 accumulator) over its head queries on a warm postings cache, checking that
 every query hits. This is the off-bench serving number at 1M docs; the WAND
 and MAXSCORE modes serve ``bm25_topk`` itself, so they are not timed apart.
+It also times a cold lean ``read_postings`` (locator read + decode) once per
+term over up to 2,000 evenly spaced dictionary terms on a fresh engine, and
+reports the bytes of every file under ``dictionary/``, ``docs/`` and
+``postings/``.
 
 Prints one JSON object (also written to ``--out``). Times are medians of
 per-query wall times in ms; compare runs only on the same host.
@@ -99,7 +103,7 @@ def time_index(n_docs: int, seed: int) -> dict:
 
     from perfbench.corpus import draw_queries, write_corpus
     from search_engine_ray.pipelines.build import build_index
-    from search_engine_ray.query.engine import SearchEngine
+    from search_engine_ray.query.engine import SearchEngine, read_postings
 
     work = tempfile.mkdtemp(prefix="topk_scale_")
     try:
@@ -131,9 +135,23 @@ def time_index(n_docs: int, seed: int) -> dict:
             res = eng.bm25_topk(q, K)
             lat.append(1e3 * (perf() - t))
             assert res, q
+        cold = SearchEngine(index_dir, build_bktree=False)
+        terms = cold.vocabulary()[0]
+        read_us = []
+        for term in terms[::max(1, len(terms) // 2000)]:
+            t = perf()
+            read_postings(cold.locator, term, False)
+            read_us.append(1e6 * (perf() - t))
+        index_bytes = sum(os.path.getsize(os.path.join(dp, f))
+                          for d in ("dictionary", "docs", "postings")
+                          for dp, _dirs, files in os.walk(os.path.join(index_dir, d))
+                          for f in files)
         return {"docs": n_docs, "corpus_s": round(t1 - t0, 1), "build_s": round(t2 - t1, 1),
                 "queries": len(qs.timed),
-                "bm25_topk_ms": round(statistics.median(lat), 3)}
+                "bm25_topk_ms": round(statistics.median(lat), 3),
+                "cold_terms": len(read_us),
+                "cold_read_postings_us": round(statistics.median(read_us), 1),
+                "index_bytes": index_bytes}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
