@@ -8,9 +8,14 @@ Ray actor pool for batch/offline retrieval (see ``batch.py``) or standalone
 for interactive queries. All loading happens once in ``__init__`` (the
 actor-pool contract).
 
-Scale note: on a real cluster each serving actor would load only a term-hash
-shard of the dictionary/postings and queries would fan out by term; here one
-process holds the whole (small) index and we document the sharding seam.
+Every mode reads postings through five term-batched seams
+(:meth:`SearchEngine.term_doc_ids`, ``term_ctfs``, ``term_weights_for_docs``,
+``term_tfs_for_docs``, ``term_positions_for_docs``) and one ranked seam,
+``_topk``. Here they are the decoded-postings cache, a ``searchsorted``
+gather and the top-k accumulator. The shard-actor deployment
+(query/service.py) is this class with those seams fanned out to actors that
+each hold a term-hash slice of the index, so both deployments run the same
+mode code.
 """
 
 from __future__ import annotations
@@ -27,13 +32,18 @@ from search_engine_ray.query.postings_codec import (
     LEAN_COLUMNS,
     TermPostings,
     decode_term_chunks,
+    ragged_slices,
 )
 from search_engine_ray.query.scoring import (
+    WEIGHT_DTYPES,
     TopkScratch,
+    bm25_idf,
     bm25_weights,
     tfidf_weights,
     topk_docs,
 )
+
+_NO_DOCS = np.zeros(0, np.int64)
 
 
 def _min_cover_window(pos_lists: list[np.ndarray]) -> tuple[int, int, int]:
@@ -90,6 +100,27 @@ def _ordered_window_docs(tps, candidates, slop: int) -> np.ndarray:
     return np.asarray(out, np.int64)
 
 
+def _phrase_docs(tps, candidates) -> np.ndarray:
+    """Shared kernel: docs in ``candidates`` where, for some start position
+    of ``tps[0]``, term i sits at start + i (has_consecutive_positions,
+    positional_intersect/mod.rs:11-35, binary search per term like the
+    reference's positions.binary_search(&expected_pos))."""
+    out = []
+    for doc in candidates:
+        doc = int(doc)
+        starts = tps[0].positions_for_doc(doc)
+        hit = np.ones(len(starts), bool)
+        for i in range(1, len(tps)):
+            pos = tps[i].positions_for_doc(doc)
+            idx = np.searchsorted(pos, starts + i)
+            hit &= (idx < len(pos)) & (pos[np.minimum(idx, len(pos) - 1)] == starts + i)
+            if not hit.any():
+                break
+        if hit.any():
+            out.append(doc)
+    return np.asarray(out, np.int64)
+
+
 def _within_window_docs(words, tps, candidates, window: int) -> np.ndarray:
     """Shared kernel: docs in ``candidates`` whose minimal cover window over
     the DISTINCT query terms is ≤ ``window`` positions wide."""
@@ -103,6 +134,35 @@ def _within_window_docs(words, tps, candidates, window: int) -> np.ndarray:
         if cover == n and e - s + 1 <= window:
             out.append(doc)
     return np.asarray(out, np.int64)
+
+
+def _matches(ids: np.ndarray, doc_ids: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(indices into ``ids``, indices into ``doc_ids``) of the docs both
+    ascending, distinct arrays hold, ascending. The shorter array is
+    searched into the longer."""
+    if len(ids) <= len(doc_ids):
+        slot = np.searchsorted(doc_ids, ids)
+        ok = slot < len(doc_ids)
+        ok[ok] = doc_ids[slot[ok]] == ids[ok]
+        return np.flatnonzero(ok), slot[ok]
+    sel = np.searchsorted(ids, doc_ids)
+    ok = sel < len(ids)
+    ok[ok] = ids[sel[ok]] == doc_ids[ok]
+    return sel[ok], np.flatnonzero(ok)
+
+
+def _union(parts) -> np.ndarray:
+    """Ascending distinct doc ids over doc-id arrays."""
+    parts = list(parts)
+    return np.unique(np.concatenate(parts)) if parts else _NO_DOCS
+
+
+def _positional(got: tuple) -> TermPostings:
+    """A ``term_positions_for_docs`` entry as postings (tfs unused)."""
+    d, o, v = got
+    return TermPostings(np.asarray(d, np.int64), np.zeros(len(d), np.int64),
+                        np.asarray(o, np.int64), np.asarray(v, np.int64))
 
 
 def read_postings(locator: PostingsLocator, term: str,
@@ -311,6 +371,175 @@ class SearchEngine:
             ent[1] = w
         return tp, w
 
+    def _weights(self, term: str, kind: str = "bm25"
+                 ) -> tuple[TermPostings, np.ndarray] | None:
+        """(postings, weight per posting) of an indexed term under a scoring
+        ``kind`` of ``scoring.WEIGHT_DTYPES``, else None: BM25 is
+        :meth:`bm25_postings` (cached weights, None when df = 0); tf-idf is
+        ``scoring.tfidf_weights`` in the kind's dtype."""
+        if kind == "bm25":
+            return self.bm25_postings(term)
+        tp = self.get_postings(term, positions=False)
+        if tp is None:
+            return None
+        return tp, tfidf_weights(tp.tfs, self.lookup(term)[1], self.num_docs,
+                                 WEIGHT_DTYPES[kind])
+
+    # ----------------------------------------------------------- postings seams
+    # Every mode reads postings through the five term-batched methods below
+    # and the ranked seam _topk. Each answers for the indexed terms among
+    # ``terms`` (others are left out of the dict); per-doc values align to
+    # ``doc_ids`` (ascending). query/service.py overrides exactly these to
+    # fan out to shard actors, which answer them with this code.
+    def term_doc_ids(self, terms) -> dict:
+        """{term: its doc ids}."""
+        out = {}
+        for t in terms:
+            tp = self.get_postings(t, positions=False)
+            if tp is not None:
+                out[t] = tp.doc_ids
+        return out
+
+    def term_ctfs(self, terms) -> dict:
+        """{term: its collection frequency} (``TermPostings.ctf``)."""
+        out = {}
+        for t in terms:
+            tp = self.get_postings(t, positions=False)
+            if tp is not None:
+                out[t] = tp.ctf
+        return out
+
+    def term_weights_for_docs(self, terms, doc_ids, kind: str = "bm25") -> dict:
+        """{term: its ``kind`` weight at each of ``doc_ids``, 0 where a doc
+        lacks it} — the exact scores of given candidates."""
+        doc_ids = np.asarray(doc_ids, np.int64)
+        out = {}
+        for t in terms:
+            got = self._weights(t, kind)
+            if got is not None:
+                sel, slot = _matches(got[0].doc_ids, doc_ids)
+                w = np.zeros(len(doc_ids), got[1].dtype)
+                w[slot] = got[1][sel]
+                out[t] = w
+        return out
+
+    def term_tfs_for_docs(self, terms, doc_ids) -> dict:
+        """{term: its tf at each of ``doc_ids`` as float64, 0 where
+        absent}."""
+        doc_ids = np.asarray(doc_ids, np.int64)
+        out = {}
+        for t in terms:
+            tp = self.get_postings(t, positions=False)
+            if tp is not None:
+                sel, slot = _matches(tp.doc_ids, doc_ids)
+                tf = np.zeros(len(doc_ids), np.float64)
+                tf[slot] = tp.tfs[sel]
+                out[t] = tf
+        return out
+
+    def term_positions_for_docs(self, terms, doc_ids) -> dict:
+        """{term: (those of ``doc_ids`` that have it, position offsets,
+        positions)} — the given docs' positions only, never the term's whole
+        position stream; {} when ``doc_ids`` is empty. Even then this engine
+        reads each term's positional postings: a mode that needs positions
+        asks with no docs first, so its later doc-id and weight reads hit
+        those entries instead of reading lean postings that would then be
+        re-read."""
+        doc_ids = np.asarray(doc_ids, np.int64)
+        out = {}
+        for t in terms:
+            tp = self.get_postings(t)
+            if tp is None or not len(doc_ids):
+                continue
+            sel, _slot = _matches(tp.doc_ids, doc_ids)
+            if len(sel) == tp.df:  # every posting: no copy
+                out[t] = (tp.doc_ids, tp.pos_offsets, tp.pos_values)
+            else:
+                vals, offs = ragged_slices(tp.pos_offsets, tp.pos_values, sel)
+                out[t] = (tp.doc_ids[sel], offs, vals)
+        return out
+
+    def _topk(self, terms, k: int, kind: str = "bm25", *, scales=None,
+              flt=None, mask=None, capsel=None, boost=None, page=None,
+              small_df_cap=None) -> list[tuple[int, float]]:
+        """The ranked seam: top-k by (score desc, doc_id asc) of each doc's
+        ``kind`` weights summed over ``terms``, in term order (topk_docs'
+        contract).
+
+        * ``scales`` {term: factor} multiplies that term's weights;
+        * ``flt`` (attr, allowed codes) of the :meth:`set_doc_attr` registry
+          and ``mask(doc_ids) -> keep`` drop the postings of docs that fail
+          a filter, so the result is the filtered corpus' true top-k;
+        * ``capsel`` (attr, cap, digits) keeps at most ``cap`` docs per
+          attribute value down the ranking (``docattrs.capped_prefix``);
+        * ``boost`` (fn, bound): ``fn(ascending candidate ids)`` returns
+          (doc ids, addends) pairs, added to those candidates' totals after
+          the term weights, pair by pair; no doc gains more than
+          ``bound``.
+
+        ``page`` and ``small_df_cap`` tune the bounded paging of the
+        shard-actor deployment; here every posting is scored."""
+        if flt is not None:
+            from search_engine_ray.query.docattrs import doc_attr_mask
+
+            entry, codes = self._doc_attrs[flt[0]], np.asarray(flt[1], np.int64)
+
+            def mask(ids):
+                return doc_attr_mask(entry, codes, ids)
+
+        doc_parts, score_parts = self._parts(terms, kind, mask, scales)
+        if not doc_parts:
+            return []
+        if boost is not None:
+            for ids, add in boost[0](_union(doc_parts)):
+                doc_parts.append(ids)
+                score_parts.append(add)
+        docs, scores = np.concatenate(doc_parts), np.concatenate(score_parts)
+        if capsel is None:
+            ids, sc = topk_docs(docs, scores, k, scratch=self._scratch)
+            return [(int(d), float(s)) for d, s in zip(ids, sc)]
+        from search_engine_ray.query.docattrs import capped_prefix, codes_for
+
+        attr, cap, digits = capsel
+        ids, sc = topk_docs(docs, scores, 1 << 62, scratch=self._scratch)
+        kept = capped_prefix(ids, sc, codes_for(self._doc_attrs[attr], ids),
+                             cap, k, digits)
+        return [(int(ids[i]), float(sc[i])) for i in kept]
+
+    def _parts(self, terms, kind: str = "bm25", mask=None, scales=None
+               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-term (doc ids, ``kind`` weights) over the terms
+        :meth:`_weights` scores, in term order: what the ranked modes feed
+        topk_docs."""
+        doc_parts, score_parts = [], []
+        for t in terms:
+            # bm25 calls bm25_postings itself: one frame less per term on
+            # the serving hot path
+            got = self.bm25_postings(t) if kind == "bm25" else self._weights(t, kind)
+            if got is None:
+                continue
+            ids, w = got[0].doc_ids, got[1]
+            if mask is not None:
+                keep = mask(ids)
+                ids, w = ids[keep], w[keep]
+            if scales is not None:
+                w = w * scales[t]
+            doc_parts.append(ids)
+            score_parts.append(w)
+        return doc_parts, score_parts
+
+    def _topk_of(self, terms, cand: np.ndarray, k: int) -> list[tuple[int, float]]:
+        """BM25 top-k of the candidate docs ``cand`` (ascending), each
+        scored over ``terms`` in term order; a doc matching none scores
+        0.0."""
+        w = self.term_weights_for_docs(terms, cand)
+        scores = np.zeros(len(cand), np.float64)
+        for t in terms:
+            if t in w:
+                scores += w[t]
+        ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
+        return [(int(d), float(s)) for d, s in zip(ids, sc)]
+
     def prefix_search(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Autocomplete: dictionary terms starting with ``prefix``
         (lowercased — index terms are post-normalization lowercase),
@@ -350,23 +579,40 @@ class SearchEngine:
             seen.setdefault(tok.word, None)
         return list(seen)
 
+    def _keywords(self, texts, n: int, skip=()) -> list[str]:
+        """The ``n`` index terms of ``texts`` with the highest tf·idf: tf
+        counted over the texts' tokens, idf log10(N/df) from the
+        dictionary, float64 rounded to 6 places, ties → term asc (the
+        doc_keywords pipeline's contract). Terms in ``skip`` or outside the
+        dictionary are passed over."""
+        tf: dict[str, int] = {}
+        for text in texts:
+            for tok in self.tokenizer.tokenize(text):
+                if tok.word:
+                    tf[tok.word] = tf.get(tok.word, 0) + 1
+        scored = []
+        for term, f in tf.items():
+            m = None if term in skip else self.lookup(term)
+            if m is None or m[1] == 0:
+                continue
+            s = round(float(f) * float(np.log10(float(self.num_docs) / float(m[1]))), 6)
+            scored.append((-s, term))
+        scored.sort()
+        return [t for _s, t in scored[:n]]
+
     # ------------------------------------------------------------------ boolean
     def boolean_and(self, query: str) -> np.ndarray:
-        """AND retrieval, min-df term first (query_processor.rs:57-84);
+        """AND retrieval, shortest postings first (query_processor.rs:57-84);
         any term missing from the dictionary → empty result."""
         terms = self.query_terms(query)
-        if not terms:
-            return np.zeros(0, np.int64)
-        metas = [self.lookup(t) for t in terms]
-        if any(m is None for m in metas):
-            return np.zeros(0, np.int64)
-        order = sorted(range(len(terms)), key=lambda i: metas[i][1])
-        docs = self.get_postings(terms[order[0]], positions=False).doc_ids
-        for i in order[1:]:
+        if not terms or any(self.lookup(t) is None for t in terms):
+            return _NO_DOCS
+        lists = sorted(self.term_doc_ids(terms).values(), key=len)
+        docs = lists[0]
+        for nxt in lists[1:]:
             if len(docs) == 0:
                 break
-            docs = np.intersect1d(docs, self.get_postings(terms[i], positions=False).doc_ids,
-                                  assume_unique=True)
+            docs = np.intersect1d(docs, nxt, assume_unique=True)
         return docs
 
     def boolean_or(self, query: str) -> np.ndarray:
@@ -375,66 +621,33 @@ class SearchEngine:
         query_processor.rs:57-84); OR is the natural complement over the
         same postings machinery (and what fuzzy_boolean already does for
         edit-distance term sets)."""
-        docs = []
-        for t in self.query_terms(query):
-            tp = self.get_postings(t, positions=False)
-            if tp is not None:
-                docs.append(tp.doc_ids)
-        if not docs:
-            return np.zeros(0, np.int64)
-        return np.unique(np.concatenate(docs))
+        return _union(self.term_doc_ids(self.query_terms(query)).values())
 
     # ------------------------------------------------------------------ ranked
-    def tfidf_topk(self, query: str, k: int = 10, dtype=np.float32) -> list[tuple[int, float]]:
+    def tfidf_topk(self, query: str, k: int = 10, dtype=np.float32,
+                   page: int | None = None, small_df_cap: int | None = None
+                   ) -> list[tuple[int, float]]:
         """Union-accumulated tf·idf top-k, reference formulas
         (scoring/mod.rs:34-48); ties → ascending doc_id. dtype=float32 is
         the reference-parity default (its scoring is f32); float64 is the
-        oracle-SQL parity mode (DuckDB computes in doubles)."""
-        doc_parts, score_parts = [], []
-        for t in self.query_terms(query):
-            tp = self.get_postings(t, positions=False)
-            if tp is None:
-                continue
-            df = self.lookup(t)[1]
-            doc_parts.append(tp.doc_ids)
-            if dtype == np.float32:
-                w = tfidf_weights(tp.tfs, df, self.num_docs)
-            else:
-                w = tp.tfs.astype(np.float64) * np.log10(float(self.num_docs) / float(df))
-            score_parts.append(w)
-        if not doc_parts:
-            return []
-        ids, scores = topk_docs(
-            np.concatenate(doc_parts), np.concatenate(score_parts).astype(dtype), k,
-            scratch=self._scratch,
-        )
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+        oracle-SQL parity mode (DuckDB computes in doubles). ``page`` and
+        ``small_df_cap``: see :meth:`_topk`."""
+        kind = "tfidf32" if dtype == np.float32 else "tfidf64"
+        return self._topk(self.query_terms(query), k, kind, page=page,
+                          small_df_cap=small_df_cap)
 
-    def bm25_topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        return self.bm25_topk_terms(self.query_terms(query), k)
+    def bm25_topk(self, query: str, k: int = 10, page: int | None = None,
+                  small_df_cap: int | None = None) -> list[tuple[int, float]]:
+        """BM25 top-k over the distinct query terms (``page`` and
+        ``small_df_cap``: see :meth:`_topk`)."""
+        return self._topk(self.query_terms(query), k, page=page,
+                          small_df_cap=small_df_cap)
 
     def bm25_topk_terms(self, terms: list[str], k: int = 10) -> list[tuple[int, float]]:
         """BM25 top-k over ALREADY-NORMALIZED distinct terms (bm25_topk's
         body; callers holding index terms — e.g. more_like_this — use this
         to avoid re-lemmatizing lemmas)."""
-        doc_parts, score_parts = self._bm25_parts(terms)
-        if not doc_parts:
-            return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
-                                scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
-
-    def _bm25_parts(self, terms) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-term (doc_ids, BM25 weights) lists over the indexed terms
-        with df > 0, in term order — the input the BM25 modes feed
-        topk_docs."""
-        doc_parts, score_parts = [], []
-        for t in terms:
-            got = self.bm25_postings(t)
-            if got is not None:
-                doc_parts.append(got[0].doc_ids)
-                score_parts.append(got[1])
-        return doc_parts, score_parts
+        return self._topk(terms, k)
 
     def bm25_topk_msm(self, query: str, k: int = 10,
                       min_match: int = 2) -> list[tuple[int, float]]:
@@ -442,25 +655,18 @@ class SearchEngine:
         semantics): only docs containing ≥ ``min_match`` DISTINCT query
         terms are candidates, scored by the usual BM25 sum over their
         matched terms. ``min_match=1`` ≡ :meth:`bm25_topk`;
-        ``min_match=len(terms)`` scores exactly the AND set. Per-query work
-        is the same postings union as bm25_topk plus one np.unique — no
-        extra index reads."""
-        doc_parts, score_parts = self._bm25_parts(self.query_terms(query))
-        if not doc_parts:
+        ``min_match=len(terms)`` scores exactly the AND set."""
+        terms = self.query_terms(query)
+        ids = self.term_doc_ids(terms)
+        if not ids:
             return []
-        docs = np.concatenate(doc_parts)
-        sc = np.concatenate(score_parts)
-        # each term's doc_ids are distinct, so multiplicity in the concat
+        # each term's doc ids are distinct, so multiplicity in the concat
         # IS the distinct-matched-term count
-        uniq, cnt = np.unique(docs, return_counts=True)
+        uniq, cnt = np.unique(np.concatenate(list(ids.values())), return_counts=True)
         keep = uniq[cnt >= int(min_match)]
         if len(keep) == 0:
             return []
-        pos = np.searchsorted(keep, docs)
-        pos[pos >= len(keep)] = 0
-        mask = keep[pos] == docs
-        ids, scores = topk_docs(docs[mask], sc[mask], k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+        return self._topk_of(terms, keep, k)
 
     # ---------------------------------------------------------------- filtered
     def set_doc_attr(self, name: str, doc_ids, values) -> None:
@@ -493,29 +699,18 @@ class SearchEngine:
         attribute (:meth:`set_doc_sort_attr`) lies in [lo, hi] — the
         range-filter companion of the categorical
         :meth:`bm25_topk_filtered` (timestamp windows, size bounds,
-        quality thresholds). The filter applies per posting list BEFORE
-        top-k, so the result is the true top-k of the filtered corpus;
-        docs absent from the attribute registry never match."""
+        quality thresholds). The filter applies BEFORE top-k, so the
+        result is the true top-k of the filtered corpus; docs absent from
+        the attribute registry never match."""
         from search_engine_ray.query.docattrs import numeric_attr_probe
 
         entry = self._doc_sort_attrs[attr]
-        doc_parts, score_parts = [], []
-        for t in self.query_terms(query):
-            got = self.bm25_postings(t)
-            if got is None:
-                continue
-            tp, w = got
-            present, vals = numeric_attr_probe(entry, tp.doc_ids)
-            keep = present & (vals >= lo) & (vals <= hi)
-            if not keep.any():
-                continue
-            doc_parts.append(tp.doc_ids[keep])
-            score_parts.append(w[keep])
-        if not doc_parts:
-            return []
-        ids, scores = topk_docs(np.concatenate(doc_parts),
-                                np.concatenate(score_parts), k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+
+        def mask(ids: np.ndarray) -> np.ndarray:
+            present, vals = numeric_attr_probe(entry, ids)
+            return present & (vals >= lo) & (vals <= hi)
+
+        return self._topk(self.query_terms(query), k, mask=mask)
 
     def bm25_topk_sorted(self, query: str, k: int = 10, *, attr: str,
                          descending: bool = True
@@ -528,7 +723,7 @@ class SearchEngine:
         registry rank after all present ones (Lucene's missing-last).
         Returns [(doc_id, attr_value, bm25_score)] (missing attr →
         nan)."""
-        doc_parts, score_parts = self._bm25_parts(self.query_terms(query))
+        doc_parts, score_parts = self._parts(self.query_terms(query))
         if not doc_parts:
             return []
         uniq, bm25 = self._scratch.accumulate(np.concatenate(doc_parts),
@@ -540,15 +735,6 @@ class SearchEngine:
         order = np.lexsort((uniq, key))[:k]
         return [(int(uniq[j]), float(vals[j]), float(bm25[j])) for j in order]
 
-    def _attr_mask(self, attr: str, allowed, doc_ids: np.ndarray) -> np.ndarray:
-        """Boolean keep-mask over candidate doc_ids: attr(doc) ∈ allowed.
-        Docs absent from the attribute table never match (no unwrap-panic,
-        same contract as :meth:`lookup`)."""
-        from search_engine_ray.query.docattrs import allowed_codes, doc_attr_mask
-
-        ent = self._doc_attrs[attr]
-        return doc_attr_mask(ent, allowed_codes(ent, allowed), doc_ids)
-
     def bm25_topk_filtered(self, query: str, k: int = 10, *, attr: str,
                            allowed) -> list[tuple[int, float]]:
         """BM25 top-k restricted to docs whose registered attribute
@@ -559,22 +745,13 @@ class SearchEngine:
         postings union plus one O(candidates) integer mask — the allowed
         SET never materializes (no keep-list; the attribute array is
         engine-resident like doc lengths)."""
-        doc_parts, score_parts = [], []
-        for t in self.query_terms(query):
-            got = self.bm25_postings(t)
-            if got is None:
-                continue
-            tp, w = got
-            keep = self._attr_mask(attr, allowed, tp.doc_ids)
-            if not keep.any():
-                continue
-            doc_parts.append(tp.doc_ids[keep])
-            score_parts.append(w[keep])
-        if not doc_parts:
+        from search_engine_ray.query.docattrs import allowed_codes
+
+        want = allowed_codes(self._doc_attrs[attr], allowed)
+        if not len(want):
             return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
-                                scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+        return self._topk(self.query_terms(query), k,
+                          flt=(attr, tuple(want.tolist())))
 
     def bm25_topk_capped(self, query: str, k: int = 10, *, attr: str,
                          cap: int, digits: int | None = None
@@ -588,21 +765,9 @@ class SearchEngine:
         'unknown' group. ``digits`` rounds scores before ranking (ties →
         doc_id asc) so an external contract (e.g. the SQL oracle's
         round-4 window) can be matched exactly; None keeps raw f64 order.
-
-        The greedy is vectorized (docattrs.capped_prefix, shared with the
-        distributed twin): one lexsort for the order, one
-        stable group-split for within-group occurrence indexes — no
-        Python loop over candidates."""
-        from search_engine_ray.query.docattrs import capped_prefix, codes_for
-
-        full = self.bm25_topk(query, 1 << 62)
-        if not full:
-            return []
-        d = np.fromiter((x for x, _ in full), np.int64, len(full))
-        s = np.fromiter((y for _, y in full), np.float64, len(full))
-        kept = capped_prefix(d, s, codes_for(self._doc_attrs[attr], d),
-                             cap, k, digits)
-        return [(int(d[i]), float(s[i])) for i in kept]
+        The greedy is vectorized (docattrs.capped_prefix)."""
+        return self._topk(self.query_terms(query), k,
+                          capsel=(attr, int(cap), digits))
 
     def bm25_topk_grouped(self, query: str, k_per_group: int = 3, *,
                           attr: str, digits: int | None = None
@@ -636,25 +801,11 @@ class SearchEngine:
 
     def more_like_this(self, text: str, k: int = 10, n_terms: int = 3,
                        exclude: int | None = None) -> list[tuple[int, float]]:
-        """Similar-document retrieval: extract the text's top ``n_terms``
-        TF-IDF keywords (tf from the text, df/N from the index; float64,
-        rounded to 6 before ranking, tie → term asc — the same contract as
-        the doc_keywords pipeline) and run BM25 over them, optionally
-        excluding the source doc. Per-query work is O(|text| + postings of
-        n_terms terms) — nothing corpus-wide."""
-        tf: dict[str, int] = {}
-        for tok in self.tokenizer.tokenize(text):
-            if tok.word:
-                tf[tok.word] = tf.get(tok.word, 0) + 1
-        scored = []
-        for term, f in tf.items():
-            m = self.lookup(term)
-            if m is None or m[1] == 0:
-                continue
-            s = round(float(f) * float(np.log10(float(self.num_docs) / float(m[1]))), 6)
-            scored.append((-s, term))
-        scored.sort()
-        terms = [t for _s, t in scored[:n_terms]]
+        """Similar-document retrieval: BM25 over the text's top ``n_terms``
+        keywords (:meth:`_keywords`), optionally excluding the source doc.
+        Per-query work is O(|text| + postings of n_terms terms) — nothing
+        corpus-wide."""
+        terms = self._keywords([text], n_terms)
         hits = self.bm25_topk_terms(terms, k + (1 if exclude is not None else 0))
         if exclude is not None:
             hits = [h for h in hits if h[0] != exclude]
@@ -673,31 +824,14 @@ class SearchEngine:
 
         Determinism contract (shared with the SQL oracle): feedback docs
         are the top ``fb_docs`` by (score rounded to ``select_digits``
-        desc, doc_id asc); expansion terms rank by (pooled tf·idf rounded
-        to 6 desc, term asc)."""
+        desc, doc_id asc); expansion terms rank by :meth:`_keywords`."""
         first = self.bm25_topk(query, 10_000_000)
         first.sort(key=lambda t: (-round(t[1], select_digits), t[0]))
         fb_ids = [d for d, _ in first[:fb_docs]]
         if not fb_ids:
             return []
-        tf: dict[str, int] = {}
-        for text in fetch_texts(fb_ids):
-            for tok in self.tokenizer.tokenize(text):
-                if tok.word:
-                    tf[tok.word] = tf.get(tok.word, 0) + 1
         orig = self.query_terms(query)
-        orig_set = set(orig)
-        scored = []
-        for term, f in tf.items():
-            if term in orig_set:
-                continue
-            m = self.lookup(term)
-            if m is None or m[1] == 0:
-                continue
-            s = round(float(f) * float(np.log10(float(self.num_docs) / float(m[1]))), 6)
-            scored.append((-s, term))
-        scored.sort()
-        expansion = [t for _s, t in scored[:fb_terms]]
+        expansion = self._keywords(fetch_texts(fb_ids), fb_terms, skip=set(orig))
         return self.bm25_topk_terms(orig + expansion, k)
 
     def bm25_prox_topk(self, query: str, k: int = 10, w: float = 1.0
@@ -714,49 +848,43 @@ class SearchEngine:
         two terms (≥ 1). Pairs run over distinct normalized query terms;
         per pair the common docs intersect via searchsorted and every
         min-distance computes in ONE vectorized fused-key pass
-        (postings_codec.segmented_min_distance) — no per-doc Python.
-        Top-k by (score desc, doc_id asc)."""
+        (postings_codec.segmented_min_distance) — no per-doc Python. The
+        pair boosts follow a doc's BM25 sum, pair by pair, and no doc gains
+        more than w·Σ pairs (idf_i + idf_j) from them (the bound a paging
+        ``_topk`` needs). Top-k by (score desc, doc_id asc)."""
         from search_engine_ray.query.postings_codec import segmented_min_distance
-        from search_engine_ray.query.scoring import bm25_idf
 
-        got = []
+        present = []
         for t in self.query_terms(query):
-            tp = self.get_postings(t)  # positional: the pairs need positions
-            if tp is not None and tp.df:
-                got.append((tp, self.bm25_postings(t)[1],
-                            bm25_idf(self.lookup(t)[1], self.num_docs)))
-        if not got:
-            return []
-        doc_parts = [tp.doc_ids for tp, _w, _idf in got]
-        score_parts = [w for _tp, w, _idf in got]
-        tps = [(tp, idf) for tp, _w, idf in got]
+            m = self.lookup(t)
+            if m is not None and m[1]:
+                present.append(t)
+        idf = {t: bm25_idf(self.lookup(t)[1], self.num_docs) for t in present}
+        pairs = [(a, b) for i, a in enumerate(present) for b in present[i + 1:]]
+        if pairs:  # positions first (see term_positions_for_docs)
+            self.term_positions_for_docs(present, _NO_DOCS)
 
-        from search_engine_ray.query.postings_codec import ragged_slices
-
-        def ragged_take(tp, idx):
-            """(flat positions, offsets) for the postings rows ``idx``."""
-            return ragged_slices(tp.pos_offsets, tp.pos_values, idx)
-
-        for a in range(len(tps)):
-            for b in range(a + 1, len(tps)):
-                tpa, idf_a = tps[a]
-                tpb, idf_b = tps[b]
-                ia = np.searchsorted(tpa.doc_ids, tpb.doc_ids)
-                ia = np.minimum(ia, len(tpa.doc_ids) - 1)
-                common = tpa.doc_ids[ia] == tpb.doc_ids
-                if not common.any():
+        def boost(cand: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+            per = self.term_positions_for_docs(present, cand) if pairs else {}
+            out = []
+            for a, b in pairs:
+                ids_a, off_a, pos_a = per[a]
+                ids_b, off_b, pos_b = per[b]
+                if not len(ids_a) or not len(ids_b):
                     continue
-                ib = np.flatnonzero(common)
-                ia = ia[ib]
-                p1, o1 = ragged_take(tpa, ia)
-                p2, o2 = ragged_take(tpb, ib)
-                md = segmented_min_distance(p1, o1, p2, o2)
-                md = np.maximum(md, 1).astype(np.float64)
-                doc_parts.append(tpb.doc_ids[ib])
-                score_parts.append(w * (idf_a + idf_b) / (md * md))
-        ids, scores = topk_docs(np.concatenate(doc_parts),
-                                np.concatenate(score_parts), k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+                ia = np.minimum(np.searchsorted(ids_a, ids_b), len(ids_a) - 1)
+                jb = np.flatnonzero(ids_a[ia] == ids_b)
+                if not len(jb):
+                    continue
+                p1, o1 = ragged_slices(off_a, pos_a, ia[jb])
+                p2, o2 = ragged_slices(off_b, pos_b, jb)
+                md = np.maximum(segmented_min_distance(p1, o1, p2, o2),
+                                1).astype(np.float64)
+                out.append((ids_b[jb], w * (idf[a] + idf[b]) / (md * md)))
+            return out
+
+        bound = w * sum(idf[a] + idf[b] for a, b in pairs)
+        return self._topk(present, k, boost=(boost, bound))
 
     def bm25_topk_wand(self, query: str, k: int = 10) -> list[tuple[int, float]]:
         """The WAND mode, served by :meth:`bm25_topk` (its results contract
@@ -780,63 +908,26 @@ class SearchEngine:
         the dictionary contribute nothing, so the call degrades gracefully
         to plain BM25 on a unigram-only index)."""
         unigrams, bigrams = self.tokenizer.tokenize_query(query)
-        seen: dict[str, float] = {}
+        scales: dict[str, float] = {}
         for t in unigrams:
-            seen.setdefault(t.word, 1.0)
+            scales.setdefault(t.word, 1.0)
         for t in bigrams:
-            seen.setdefault(t.word, bigram_weight)
-        doc_parts, score_parts = [], []
-        for term, w in seen.items():
-            got = self.bm25_postings(term)
-            if got is None:
-                continue
-            doc_parts.append(got[0].doc_ids)
-            score_parts.append(got[1] * w)
-        if not doc_parts:
-            return []
-        ids, scores = topk_docs(np.concatenate(doc_parts), np.concatenate(score_parts), k,
-                                scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, scores)]
+            scales.setdefault(t.word, bigram_weight)
+        return self._topk(list(scales), k, scales=scales)
 
     # ------------------------------------------------------------------ phrase
     def phrase(self, query: str) -> np.ndarray:
         """Docs containing the query terms at consecutive positions
-        (has_consecutive_positions, positional_intersect/mod.rs:11-35):
-        for each start position of term 0, term i must appear at start+i.
-        Duplicate words keep their order (positions are raw whitespace-token
-        indices, so punctuation-only words break adjacency — by design)."""
+        (:func:`_phrase_docs`). Duplicate words keep their order (positions
+        are raw whitespace-token indices, so punctuation-only words break
+        adjacency — by design). One word reads no positions."""
         words = [t.word for t in self.tokenizer.tokenize(query)]
-        if not words:
-            return np.zeros(0, np.int64)
-        if len(words) == 1:
-            tp = self.get_postings(words[0], positions=False)
-            return tp.doc_ids if tp else np.zeros(0, np.int64)
-        tps = []
-        for w in words:
-            tp = self.get_postings(w)
-            if tp is None:
-                return np.zeros(0, np.int64)
-            tps.append(tp)
-        candidates = tps[0].doc_ids
-        for tp in tps[1:]:
-            candidates = np.intersect1d(candidates, tp.doc_ids, assume_unique=True)
-        out = []
-        for doc in candidates:
-            doc = int(doc)
-            starts = tps[0].positions_for_doc(doc)
-            others = [tps[i].positions_for_doc(doc) for i in range(1, len(tps))]
-            # for each start: term i present at start+i (binary search, like
-            # the reference's positions.binary_search(&expected_pos))
-            hit = np.ones(len(starts), bool)
-            for i, pos in enumerate(others, start=1):
-                idx = np.searchsorted(pos, starts + i)
-                found = (idx < len(pos)) & (pos[np.minimum(idx, len(pos) - 1)] == starts + i)
-                hit &= found
-                if not hit.any():
-                    break
-            if hit.any():
-                out.append(doc)
-        return np.asarray(out, np.int64)
+        if len(words) < 2:
+            return next(iter(self.term_doc_ids(words).values()), _NO_DOCS)
+        got = self._positional_tps(words)
+        if got is None:
+            return _NO_DOCS
+        return _phrase_docs(*got)
 
     # ------------------------------------------------------------------ snippets
     def snippets(self, query: str, k: int = 10
@@ -847,21 +938,20 @@ class SearchEngine:
         (cover desc, width asc, start asc — a pinned deterministic
         contract). Positions are whitespace-token indices (the index's
         native coordinate; the caller slices the source text — the index
-        deliberately stores no text). Per-doc work is O(positions of the
-        query terms in that doc)."""
+        deliberately stores no text). Only the k hits' positions are
+        fetched."""
         terms = self.query_terms(query)
-        # positional first, so the ranking below hits these cache entries
-        # instead of reading lean postings it would then re-read
-        tps = [self.get_postings(t) for t in terms]
+        self.term_positions_for_docs(terms, _NO_DOCS)  # positions first
         hits = self.bm25_topk(query, k)
-        if not hits or not terms:
+        if not hits:
             return []
+        per = self.term_positions_for_docs(
+            terms, np.sort(np.array([d for d, _s in hits], np.int64)))
+        tps = [_positional(per[t]) for t in terms if t in per]
         out = []
         for doc_id, score in hits:
             pos_lists = []
             for tp in tps:
-                if tp is None:
-                    continue
                 p = tp.positions_for_doc(doc_id)
                 if p is not None and len(p):
                     pos_lists.append(np.asarray(p, np.int64))
@@ -878,7 +968,7 @@ class SearchEngine:
         words = [t.word for t in self.tokenizer.tokenize(query)]
         got = self._positional_tps(words)
         if got is None:
-            return np.zeros(0, np.int64)
+            return _NO_DOCS
         tps, candidates = got
         return _within_window_docs(words, tps, candidates, window)
 
@@ -894,42 +984,42 @@ class SearchEngine:
         words = [t.word for t in self.tokenizer.tokenize(query)]
         got = self._positional_tps(words)
         if got is None:
-            return np.zeros(0, np.int64)
+            return _NO_DOCS
         tps, candidates = got
         if len(words) == 1:
-            return tps[0].doc_ids
+            return candidates
         return _ordered_window_docs(tps, candidates, slop)
 
     def _positional_tps(self, words: list[str]):
-        """(postings per word, candidate doc intersection) or None when a
-        word is out of vocabulary — the shared setup of every positional
-        operator."""
-        if not words:
+        """(postings per word restricted to the candidate docs, candidate
+        doc intersection) or None when a word is out of vocabulary — the
+        shared setup of every positional operator. Doc ids are intersected
+        first, then only the candidates' positions are fetched."""
+        uniq = list(dict.fromkeys(words))
+        if not uniq or any(self.lookup(w) is None for w in uniq):
             return None
-        tps = []
-        for w in words:
-            tp = self.get_postings(w)
-            if tp is None:
-                return None
-            tps.append(tp)
-        candidates = tps[0].doc_ids
-        for tp in tps[1:]:
-            candidates = np.intersect1d(candidates, tp.doc_ids, assume_unique=True)
-        return tps, candidates
+        self.term_positions_for_docs(uniq, _NO_DOCS)  # positions first
+        ids = self.term_doc_ids(uniq)
+        candidates = ids[uniq[0]]
+        for w in uniq[1:]:
+            candidates = np.intersect1d(candidates, ids[w], assume_unique=True)
+        if len(candidates) == 0:
+            return [], candidates
+        per = self.term_positions_for_docs(uniq, candidates)
+        return [_positional(per[w]) for w in words], candidates
 
     # ------------------------------------------------------------------ proximity
     def proximity(self, term1: str, term2: str, k: int) -> list[tuple[int, int, int]]:
         """positional_intersect (positional_intersect/mod.rs:322-343,579-604):
         matches (doc_id, pp1, pp2) with pp2 > pp1 and pp2 - pp1 <= k
         (one-directional window), over docs containing both terms."""
-        t1 = self.tokenizer.normalize(term1)
-        t2 = self.tokenizer.normalize(term2)
-        tp1, tp2 = self.get_postings(t1), self.get_postings(t2)
-        if tp1 is None or tp2 is None:
-            return []
-        common = np.intersect1d(tp1.doc_ids, tp2.doc_ids, assume_unique=True)
         from search_engine_ray.query.postings_codec import proximity_window_pairs
 
+        got = self._positional_tps([self.tokenizer.normalize(term1),
+                                    self.tokenizer.normalize(term2)])
+        if got is None or not len(got[1]):
+            return []
+        (tp1, tp2), common = got
         out = []
         for doc in common:
             pp1 = tp1.positions_for_doc(int(doc))
@@ -997,11 +1087,7 @@ class SearchEngine:
 
     def fuzzy_boolean(self, term: str, edit_distance: int) -> np.ndarray:
         """Docs containing ANY term within edit_distance (fuzzy OR)."""
-        docs = [self.get_postings(t, positions=False).doc_ids
-                for t in self.fuzzy(term, edit_distance)]
-        if not docs:
-            return np.zeros(0, np.int64)
-        return np.unique(np.concatenate(docs))
+        return _union(self.term_doc_ids(self.fuzzy(term, edit_distance)).values())
 
     # ------------------------------------------------------------------ wildcard
     @property
@@ -1024,11 +1110,7 @@ class SearchEngine:
     def wildcard_boolean(self, pattern: str) -> np.ndarray:
         """Docs containing ANY term matching the wildcard pattern
         (wildcard OR — the retrieval shape of fuzzy_boolean)."""
-        docs = [self.get_postings(t, positions=False).doc_ids
-                for t in self.wildcard_terms(pattern)]
-        if not docs:
-            return np.zeros(0, np.int64)
-        return np.unique(np.concatenate(docs))
+        return _union(self.term_doc_ids(self.wildcard_terms(pattern)).values())
 
     # ------------------------------------------------------------------ and-not
     def boolean_and_not(self, query: str, neg_query: str) -> np.ndarray:
@@ -1058,20 +1140,24 @@ class SearchEngine:
         Candidates are the union of the terms' postings (docs matching no
         term are never competitive at practical mu). float64 end to end so
         the DuckDB oracle reproduces scores exactly; ties break by
-        ascending doc_id per the engine-wide top-k contract."""
-        tps = [tp for tp in (self.get_postings(t, positions=False)
-                             for t in self.query_terms(query)) if tp is not None]
-        if not tps:
+        ascending doc_id per the engine-wide top-k contract.
+
+        Per-query work is O(Σ df + |candidates| × terms): unlike BM25, a
+        doc absent from a term still gains ln(mu·p_t/(dl+mu)), so impact
+        paging would need per-term absent-doc bounds as well."""
+        terms = self.query_terms(query)
+        ctfs = self.term_ctfs(terms)
+        present = [t for t in terms if ctfs.get(t)]
+        if not present:
             return []
+        cand = _union(self.term_doc_ids(present).values())
         T = float(self._dl.sum())
-        cand = np.unique(np.concatenate([tp.doc_ids for tp in tps]))
         dl = self.doc_length(cand).astype(np.float64)
+        tfs = self.term_tfs_for_docs(present, cand)
         scores = np.zeros(len(cand), np.float64)
-        for tp in tps:
-            p_bg = mu * float(tp.ctf) / T
-            tf = np.zeros(len(cand), np.float64)
-            tf[np.searchsorted(cand, tp.doc_ids)] = tp.tfs
-            scores += np.log((tf + p_bg) / (dl + mu))
+        for t in present:
+            p_bg = mu * float(ctfs[t]) / T
+            scores += np.log((tfs[t] + p_bg) / (dl + mu))
         ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
         return [(int(d), float(s)) for d, s in zip(ids, sc)]
 
@@ -1095,46 +1181,27 @@ class SearchEngine:
         score_terms = list(dict.fromkeys(pq_.must + should))
 
         cand: np.ndarray | None = None
-
-        def narrow(docs: np.ndarray) -> np.ndarray | None:
-            nonlocal cand
+        if pq_.must:
+            must = self.term_doc_ids(pq_.must)
+            for t in pq_.must:
+                if t not in must:
+                    return []
+                cand = must[t] if cand is None else np.intersect1d(
+                    cand, must[t], assume_unique=True)
+                if len(cand) == 0:
+                    return []
+        for ph in pq_.phrases:
+            docs = self.phrase(ph)
             cand = docs if cand is None else np.intersect1d(
                 cand, docs, assume_unique=True)
-            return cand
-
-        for t in pq_.must:
-            tp = self.get_postings(t, positions=False)
-            if tp is None:
-                return []
-            if len(narrow(tp.doc_ids)) == 0:
-                return []
-        for ph in pq_.phrases:
-            if len(narrow(self.phrase(ph))) == 0:
+            if len(cand) == 0:
                 return []
         if cand is None:
-            parts = [tp.doc_ids for tp in (self.get_postings(t, positions=False)
-                                           for t in score_terms) if tp is not None]
-            if not parts:
-                return []
-            cand = np.unique(np.concatenate(parts))
+            cand = _union(self.term_doc_ids(score_terms).values())
         if pq_.must_not:
-            neg = [tp.doc_ids for tp in (self.get_postings(t, positions=False)
-                                         for t in pq_.must_not) if tp is not None]
-            if neg:
-                cand = np.setdiff1d(cand, np.unique(np.concatenate(neg)),
-                                    assume_unique=True)
+            cand = np.setdiff1d(
+                cand, _union(self.term_doc_ids(pq_.must_not).values()),
+                assume_unique=True)
         if len(cand) == 0:
             return []
-
-        scores = np.zeros(len(cand), np.float64)
-        for t in score_terms:
-            got = self.bm25_postings(t)
-            if got is None:
-                continue
-            tp, w = got
-            idx = np.searchsorted(cand, tp.doc_ids)
-            hit = (idx < len(cand)) & (
-                cand[np.minimum(idx, len(cand) - 1)] == tp.doc_ids)
-            scores[idx[hit]] += w[hit]
-        ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, sc)]
+        return self._topk_of(score_terms, cand, k)

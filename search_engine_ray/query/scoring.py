@@ -30,14 +30,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def tfidf_idf(df: int, num_docs: int) -> np.float32:
-    """scoring/mod.rs:42-44 in f32."""
-    return np.float32(np.log10(np.float32(num_docs) / np.float32(df)))
+def tfidf_weights(tfs: np.ndarray, df: int, num_docs: int,
+                  dtype=np.float32) -> np.ndarray:
+    """scoring/mod.rs:42-48: per-posting w = tf * log10(N / df), every
+    step in ``dtype`` — float32 is the reference bit for bit, float64 the
+    oracle-SQL mode (DuckDB computes in doubles)."""
+    dt = np.dtype(dtype).type
+    return tfs.astype(dt) * dt(np.log10(dt(num_docs) / dt(df)))
 
 
-def tfidf_weights(tfs: np.ndarray, df: int, num_docs: int) -> np.ndarray:
-    """scoring/mod.rs:46-48: per-posting w = tf * idf, f32."""
-    return tfs.astype(np.float32) * tfidf_idf(df, num_docs)
+#: the per-posting weight kinds (``SearchEngine._weights``; the names also
+#: travel to the shard actors) and the dtype their scores accumulate in
+WEIGHT_DTYPES = {"bm25": np.float64, "tfidf32": np.float32,
+                 "tfidf64": np.float64}
 
 
 def bm25_idf(df: int, num_docs: int) -> float:

@@ -354,3 +354,136 @@ class TestServingMatrixR3d:
         seed = local.kgram.terms[0][:2]
         for q in self.DSLS + [f"{seed}* {QUERIES[0]}"]:
             assert dist.search(q, 10) == local.search(q, 10), q
+
+
+class TestModesGainedByDistributed:
+    """Modes the shard-actor deployment serves through SearchEngine's own
+    bodies: each equals the local engine's result."""
+
+    TERM_LISTS = [["bababa", "cababa", "dababa"], ["fababa"], ["nosuchterm", "bababa"], []]
+
+    def test_bm25_topk_terms(self, built):
+        local, dist = built
+        for terms in self.TERM_LISTS:
+            assert dist.bm25_topk_terms(terms, 10) == local.bm25_topk_terms(terms, 10)
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_bm25_topk_msm(self, built, q):
+        local, dist = built
+        for m in (1, 2, 3):
+            assert dist.bm25_topk_msm(q, 10, m) == local.bm25_topk_msm(q, 10, m), m
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_bm25_topk_grouped(self, built, q):
+        local, dist = built
+        ids = np.arange(1, local.num_docs + 1)
+        vals = [None if i % 11 == 0 else f"h{i % 4}" for i in ids]
+        local.set_doc_attr("h4", ids, vals)
+        dist.set_doc_attr("h4", ids, vals)
+        for digits in (None, 4):
+            assert dist.bm25_topk_grouped(q, 2, attr="h4", digits=digits) == \
+                local.bm25_topk_grouped(q, 2, attr="h4", digits=digits)
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_bm25_prf(self, built, q):
+        local, dist = built
+        vocab = local.vocabulary()[0]
+
+        def fetch_texts(doc_ids):
+            return [" ".join(vocab[(int(d) * 7 + j * 13) % len(vocab)] for j in range(6))
+                    for d in doc_ids]
+
+        assert dist.bm25_prf(q, fetch_texts, 10) == local.bm25_prf(q, fetch_texts, 10)
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_wand_and_maxscore(self, built, q):
+        local, dist = built
+        assert dist.bm25_topk_wand(q, 7) == local.bm25_topk_wand(q, 7)
+        assert dist.bm25_topk_maxscore(q, 7) == local.bm25_topk_maxscore(q, 7)
+
+    @pytest.mark.parametrize("q", QUERIES + ["bababx cababq", "zzzzqq"])
+    def test_bm25_topk_corrected(self, built, q):
+        local, dist = built
+        assert dist.bm25_topk_corrected(q, 10) == local.bm25_topk_corrected(q, 10)
+
+    def test_suggest_and_prefix_search(self, built):
+        local, dist = built
+        for probe in ("bababa", "bababx", "cabq", "zzzzzzz"):
+            assert dist.suggest(probe) == local.suggest(probe), probe
+        for prefix in ("ba", "cab", "", "zzz"):
+            assert dist.prefix_search(prefix, 5) == local.prefix_search(prefix, 5)
+
+    def test_dictionary_and_doc_lookups(self, built):
+        local, dist = built
+        for t in ("bababa", "fababa", "nosuchterm", ""):
+            assert dist.lookup(t) == local.lookup(t), t
+        terms, dfs = dist.vocabulary()
+        want_terms, want_dfs = local.vocabulary()
+        assert list(terms) == list(want_terms)
+        np.testing.assert_array_equal(dfs, want_dfs)
+        ids = [1, 2, local.num_docs, local.num_docs + 50]
+        assert dist.doc_urls(ids) == local.doc_urls(ids)
+
+    def test_whole_postings_lists_stay_on_the_actors(self, built):
+        _local, dist = built
+        for read in (dist.get_postings, dist.bm25_postings):
+            with pytest.raises(NotImplementedError):
+                read("bababa")
+
+
+def test_positional_modes_ship_candidate_positions_only(ray_session, tmp_path):
+    """Phrase, ordered-window and snippet queries over a term present in
+    every doc ship the positions of their candidate docs only — strictly
+    fewer than the hot term's full position stream."""
+    import ray.data
+
+    n_docs = 3000
+    rows = [{"url": f"https://p-{i:06d}.test/", "html":
+             (f"<html><p>hotword filler{i % 97} mid{i % 11} "
+              f"tail{i % 7}</p></html>").encode()} for i in range(n_docs)]
+    corpus = ray.data.from_items(rows, override_num_blocks=4)
+    out = str(tmp_path / "hotpos")
+    cfg = EngineConfig(index_shards=8, min_rows_per_file=None)
+    build_index(corpus, out, cfg)
+    local = SearchEngine(out, cfg, build_bktree=False)
+    dist = DistributedSearchEngine(out, n_actors=2, config=cfg)
+    shipped = [0]
+    fan_out = dist._fan_out_args
+
+    def counting(terms, method, *args):
+        got = fan_out(terms, method, *args)
+        if method == "term_positions_for_docs":
+            shipped[0] += sum(len(v[2]) for v in got.values())
+        return got
+
+    dist._fan_out_args = counting
+
+    def positions_in(terms, docs) -> int:
+        n = 0
+        for t in terms:
+            tp = local.get_postings(t)
+            for d in docs:
+                p = tp.positions_for_doc(int(d))
+                n += 0 if p is None else len(p)
+        return n
+
+    full = len(local.get_postings("hotword").pos_values)
+    assert full == n_docs
+    try:
+        cases = [
+            ("phrase", lambda e: e.phrase("hotword filler3"),
+             lambda: local.boolean_and("hotword filler3")),
+            ("ordered_window", lambda e: e.ordered_window("hotword mid3", 1),
+             lambda: local.boolean_and("hotword mid3")),
+            ("snippets", lambda e: e.snippets("hotword mid3", 5),
+             lambda: [d for d, *_rest in local.snippets("hotword mid3", 5)]),
+        ]
+        for name, run, candidates in cases:
+            shipped[0] = 0
+            np.testing.assert_equal(run(dist), run(local))
+            query_terms = local.query_terms(
+                "hotword filler3" if name == "phrase" else "hotword mid3")
+            want = positions_in(query_terms, candidates())
+            assert 0 < shipped[0] == want < full, (name, shipped[0], want, full)
+    finally:
+        dist.shutdown()
