@@ -44,8 +44,10 @@ class EngineConfig:
     #: on-disk index format version; part of every stage fingerprint so
     #: format changes invalidate cached/resumable indexes. v3 = hash-sharded
     #: runs/postings layout + dictionary (term, df, term_id, shard); v4 =
-    #: one flat postings file per shard (stages/postings_file.py).
-    format_version: int = 4
+    #: one flat postings file per shard (stages/postings_file.py); v5 = its
+    #: term table holds max_tf and its footer the posting count and doc-id
+    #: range.
+    format_version: int = 5
 
     # --- scoring ------------------------------------------------------------
     #: BM25 parameters. The reference defines none (its live scoring is

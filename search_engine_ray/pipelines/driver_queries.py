@@ -213,25 +213,18 @@ def q_index_stats(sf_dir: str):
     """Physical index-layout introspection, oracle-validated from first
     principles: per term, the chunk count must equal
     Σ_salt ceil(group_postings / chunk_size) (the 128-cap per (term, salt)
-    group, merge.py), n_postings must equal df, and the chunk max_tf
-    metadata must equal the true max tf. Reads the 3 metadata columns of
-    the chunk rows regenerated from the shard files (read_chunk_rows,
-    lean records only — no position bytes are read)."""
-    from search_engine_ray.stages.grouped import grouped_reduce
-    from search_engine_ray.stages.postings_file import read_chunk_rows
+    group of the reference's chunks), n_postings must equal df, and max_tf
+    the true max tf. One task per shard file reads its term table (df and
+    max_tf per term; postings_file.shard_term_stats), decoding doc ids only
+    when the shard's doc ids span more than one salt. Each term is one
+    record in one shard, so the shards' rows need no further reduce."""
+    import ray
+
+    from search_engine_ray.stages.postings_file import shard_files, shard_term_stats
 
     eng = engine_for(sf_dir)
-    chunks = read_chunk_rows(eng.paths.postings,
-                             columns=["term", "n_postings", "max_tf"])
-
-    def widen(batch: pa.Table) -> pa.Table:
-        return pa.table({"term": batch["term"],
-                         "n_postings": batch["n_postings"].cast(pa.int64()),
-                         "max_tf": batch["max_tf"].cast(pa.int64())})
-
-    out = grouped_reduce(chunks.map_batches(widen, batch_format="pyarrow"),
-                         ["term"], sums=[("n_postings", "n_postings")],
-                         maxs=[("max_tf", "max_tf")], count="n_chunks")
+    task = ray.remote(shard_term_stats)
+    out = pa.concat_tables(ray.get([task.remote(p) for p in shard_files(eng.paths.postings)]))
     return out.to_pandas().sort_values("term").reset_index(drop=True)
 
 

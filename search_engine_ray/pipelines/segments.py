@@ -16,19 +16,18 @@ Lucene-style segment model on top of the existing build:
   (query/segmented.py:SegmentedSearchEngine._read_postings); stats keep
   counting deleted docs until compaction, exactly like Lucene's deleted docs.
 * ``compact(root)`` merges every segment (minus tombstoned postings) into
-  ONE new segment and resets the tombstone list. Postings are reconstructed
-  from the chunk rows LOSSLESSLY and fully vectorized — ``pos_gaps`` is a
-  byte-concatenation of per-posting VB streams with ``pos_lens`` spans, and
-  ``doc_gaps`` decodes with one VB pass + a segmented cumsum — back into the
-  exact runs schema (term, doc_id, pos_enc, sgroup) the merge stages
+  ONE new segment and resets the tombstone list. Each segment's postings
+  are read back as decoded rows (read_posting_rows, one read task per
+  shard file; ``pos_enc`` is sliced from the records, never decoded) into
+  the exact runs schema (term, doc_id, pos_enc, sgroup) the merge stages
   consume. Compaction then just resumes build_index with the stage-1
   artifacts pre-written: the dictionary/postings/stats stages run unchanged,
   so a compacted index is BYTE-COMPATIBLE with a fresh build (pytest asserts
-  value-identical dictionary + postings for the no-delete case).
+  identical dictionary and postings files for the no-delete case).
 
 Scale notes: segments are independent (build cost ∝ delta size); compaction
-streams chunk rows per segment through map_batches — nothing corpus-sized on
-the driver; the tombstone broadcast is O(deletes). The segments.json root
+streams posting rows per segment through map_batches — nothing corpus-sized
+on the driver; the tombstone broadcast is O(deletes). The segments.json root
 manifest is tiny (one entry per segment) and written atomically.
 """
 
@@ -45,13 +44,8 @@ import ray.data
 
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.functions.hashing import hash_strings_arrow
-from search_engine_ray.functions.vb import (
-    binary_column_parts,
-    binary_from_spans,
-    vb_decode_array,
-)
 from search_engine_ray.pipelines.build import IndexPaths, build_index, load_stats
-from search_engine_ray.stages.postings_file import read_chunk_rows
+from search_engine_ray.stages.postings_file import read_posting_rows
 from search_engine_ray.state import manifests
 
 SEGMENTS_FILE = "segments.json"
@@ -197,76 +191,30 @@ def add_segment(pages, root: str, config: EngineConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# compaction: chunk rows → runs rows (lossless, vectorized)
+# compaction: posting rows → runs rows
 # ---------------------------------------------------------------------------
 
 
-def _chunks_to_runs(batch: pa.Table, n_units: int,
-                    drop_ref=None) -> pa.Table:
-    """Reconstruct exact runs rows from CHUNK_SCHEMA rows, whole-batch
-    vectorized: one VB decode for all doc gaps + a segmented cumsum; the
-    per-posting position streams are SLICED (never decoded) out of the
-    shared pos_gaps buffer via pos_lens spans."""
-    batch = batch.combine_chunks()
+def _runs_rows(batch: pa.Table, n_units: int, drop_ref=None) -> pa.Table:
+    """Runs rows of positional posting rows (read_posting_rows): the term
+    strings, doc ids and ``pos_enc`` bytes as they are, ``sgroup`` hashed
+    once per term (like the tokenizer), tombstoned docs dropped."""
     if batch.num_rows == 0:
         return _RUNS_EMPTY
-    n_post = batch["n_postings"].to_numpy(zero_copy_only=False).astype(np.int64)
-    total = int(n_post.sum())
-    if total == 0:
-        return _RUNS_EMPTY
-
-    # doc_ids: decode every gap in one pass; within a chunk the first gap is
-    # the absolute doc_id, so per-chunk cumsum = global cumsum − carried base
-    dg = batch["doc_gaps"]
-    dg = dg.combine_chunks() if isinstance(dg, pa.ChunkedArray) else dg
-    offs, data = binary_column_parts(dg)
-    gaps = vb_decode_array(data[offs[0]:offs[-1]]).astype(np.int64)
-    assert len(gaps) == total, "doc_gaps value count != n_postings sum"
-    run = np.cumsum(gaps)
-    chunk_starts = np.zeros(len(n_post), np.int64)
-    np.cumsum(n_post[:-1], out=chunk_starts[1:])
-    base = np.where(chunk_starts > 0, run[chunk_starts - 1], 0)
-    doc_ids = run - np.repeat(base, n_post)
-
-    # per-posting encoded positions: slice the contiguous pos_gaps bytes
-    pl = batch["pos_lens"]
-    pl = pl.combine_chunks() if isinstance(pl, pa.ChunkedArray) else pl
-    lens = pl.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    assert len(lens) == total, "pos_lens count != n_postings sum"
-    pg = batch["pos_gaps"]
-    pg = pg.combine_chunks() if isinstance(pg, pa.ChunkedArray) else pg
-    poffs, pdata = binary_column_parts(pg)
-    pbytes = np.ascontiguousarray(pdata[poffs[0]:poffs[-1]])
-    spans = np.zeros(total + 1, np.int64)
-    np.cumsum(lens, out=spans[1:])
-    assert spans[-1] == len(pbytes), "pos_lens bytes != pos_gaps bytes"
-    pos_enc = binary_from_spans(pbytes, spans)
-    if pos_enc.type != pa.binary():
-        raise ValueError(
-            "compaction batch exceeds the int32 binary-offset range; lower "
-            "the read batch size so runs keep the uniform binary pos_enc type")
-
-    # term per posting + sgroup (hash unique terms once, like the tokenizer)
-    tenc = batch["term"].dictionary_encode().combine_chunks()
-    codes = tenc.indices.to_numpy(zero_copy_only=False)
-    uniq_terms = tenc.dictionary.cast(pa.string())
-    sg_u = (hash_strings_arrow(uniq_terms) % np.uint64(n_units)).astype(np.int64)
-    post_codes = np.repeat(codes, n_post)
-    terms = uniq_terms.take(pa.array(post_codes))
-    sgroup = sg_u[post_codes]
-
+    tcol = batch["term"].combine_chunks()
+    sg_u = (hash_strings_arrow(tcol.dictionary) % np.uint64(n_units)).astype(np.int64)
+    codes = tcol.indices.to_numpy(zero_copy_only=False)
     out = pa.table({
-        "term": terms,
-        "doc_id": pa.array(doc_ids, pa.int64()),
-        "pos_enc": pos_enc,
-        "sgroup": pa.array(sgroup, pa.int64()),
+        "term": tcol.dictionary.take(tcol.indices),
+        "doc_id": batch["doc_id"],
+        "pos_enc": batch["pos_enc"],
+        "sgroup": pa.array(sg_u[codes], pa.int64()),
     })
     if drop_ref is not None:
-        drop = ray.get(drop_ref) if not isinstance(drop_ref, np.ndarray) else drop_ref
-        if len(drop):
-            keep = ~np.isin(doc_ids, drop)
-            if not keep.all():
-                out = out.filter(pa.array(keep))
+        drop = ray.get(drop_ref)
+        keep = ~np.isin(batch["doc_id"].to_numpy(), drop)
+        if not keep.all():
+            out = out.filter(pa.array(keep))
     return out
 
 
@@ -328,14 +276,10 @@ def compact(root: str, config: EngineConfig | None = None,
     drop_ref = ray.put(np.sort(tombs)) if len(tombs) else None
     seg_dirs = [segment_dir(root, s["name"]) for s in selected]
 
-    # runs: stream every segment's chunk rows through the reconstruction
-    chunk_cols = ["term", "n_postings", "doc_gaps", "pos_lens", "pos_gaps"]
-    runs_parts = []
-    for d in seg_dirs:
-        ds = read_chunk_rows(IndexPaths(d).postings, columns=chunk_cols)
-        runs_parts.append(ds.map_batches(
-            lambda b: _chunks_to_runs(b, n_units, drop_ref),
-            batch_format="pyarrow"))
+    # runs: every segment's posting rows, as runs rows
+    runs_parts = [read_posting_rows(IndexPaths(d).postings, positions=True).map_batches(
+        lambda b: _runs_rows(b, n_units, drop_ref), batch_format="pyarrow")
+        for d in seg_dirs]
     runs = runs_parts[0]
     for p in runs_parts[1:]:
         runs = runs.union(p)

@@ -262,6 +262,7 @@ class SearchEngine:
 
         self._dl_ids = np.asarray(dl_ids).astype(np.int64)
         self._dl = np.asarray(dl).astype(np.int64)
+        self._dl_total = float(self._dl.sum())  # collection tokens (ql_topk's T)
         # per-doc top-k buffers, allocated on the first ranked query
         self._scratch = TopkScratch(int(self._dl_ids[-1]) + 1 if len(self._dl_ids) else 0)
 
@@ -1151,7 +1152,7 @@ class SearchEngine:
         if not present:
             return []
         cand = _union(self.term_doc_ids(present).values())
-        T = float(self._dl.sum())
+        T = self._dl_total
         dl = self.doc_length(cand).astype(np.float64)
         tfs = self.term_tfs_for_docs(present, cand)
         scores = np.zeros(len(cand), np.float64)

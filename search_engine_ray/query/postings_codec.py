@@ -1,6 +1,5 @@
-"""Decode postings back from the index: a term's flat shard-file record
-(stages/postings_file.py) or its chunk rows (stages/merge.py
-CHUNK_SCHEMA).
+"""Decode postings back from the index: a term's record in its flat
+shard file (stages/postings_file.py).
 
 Mirrors the reference's read path: Block::decode_chunks_for_term →
 Chunk::get_doc_ids / positions (/root/reference/src/indexer/block.rs:114-141,
@@ -13,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pyarrow as pa
 
-from search_engine_ray.functions.vb import binary_column_parts, vb_decode_array
+from search_engine_ray.functions.vb import vb_decode_array
 
 
-#: the chunk columns BM25 scoring reads: enough to decode a term's doc ids
-#: and tfs. A ``locator.read`` naming only these reads a record's lean part
-#: (no positions) and decode_term_chunks returns lean postings; chunk rows
-#: selected to these columns decode the same way.
+#: the columns BM25 scoring reads: enough to decode a term's doc ids and
+#: tfs. A ``locator.read`` naming only these reads a record's lean part (no
+#: positions) and decode_term_chunks returns lean postings.
 LEAN_COLUMNS = ["term", "salt", "chunk_seq", "first_doc_id", "doc_gaps", "tfs"]
 
 
@@ -126,17 +123,6 @@ def _restart_cumsum(gaps: np.ndarray, counts: np.ndarray
     return run[1:] - np.repeat(run[bounds[:-1]], counts), bounds
 
 
-def _column(table: pa.Table, name: str) -> pa.Array:
-    col = table.column(name)
-    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-
-
-def _binary_stream(arr: pa.Array) -> np.ndarray:
-    """The values of a binary column concatenated, zero-copy."""
-    offsets, data = binary_column_parts(arr)
-    return data[offsets[0] : offsets[-1]]
-
-
 class DamagedShardError(ValueError):
     """A postings shard file whose footer, term table or records
     disagree (stages/postings_file.py)."""
@@ -180,58 +166,10 @@ def decode_term_record(rec: TermRecord) -> TermPostings:
     return TermPostings(doc_ids, tfs, pos_offsets, pos_values)
 
 
-def decode_term_chunks(chunks: pa.Table | TermRecord) -> TermPostings:
-    """A term's postings from a :class:`TermRecord` (see
-    :func:`decode_term_record`) or from all its chunk rows.
-
-    All chunk rows of ONE term (any order, any number of record
-    batches) → merged TermPostings, in one vectorized pass: one VB decode
-    of the concatenated doc-gap streams restarted at every chunk (each
-    chunk's first doc id is absolute), one flatten of the tfs, and one VB
-    decode of the concatenated position streams split by the flattened
-    per-posting byte lengths (``pos_lens``).
-
-    Positions are decoded only when the table has the ``pos_gaps`` and
-    ``pos_lens`` columns; a table read with ``LEAN_COLUMNS`` gives lean
-    postings (``pos_offsets`` None, ``pos_values`` empty, see
-    :class:`TermPostings`).
-
-    Rows are ordered by (salt, first_doc_id): salt buckets are disjoint
-    ascending doc_id ranges, and within a (term, salt) group every chunk
-    holds a disjoint ascending doc_id range, so this ordering restores
-    global doc_id order exactly (stages/merge.py).
-    """
-    if isinstance(chunks, TermRecord):
-        return decode_term_record(chunks)
-    positional = "pos_gaps" in chunks.column_names
-    if chunks.num_rows == 0:
-        z = np.zeros(0, np.int64)
-        return TermPostings(z, z, np.zeros(1, np.int64) if positional else None, z)
-    if chunks.num_rows > 1:
-        order = np.lexsort((_column(chunks, "chunk_seq").to_numpy(),
-                            _column(chunks, "first_doc_id").to_numpy(),
-                            _column(chunks, "salt").to_numpy()))
-        if (np.diff(order) != 1).any():
-            chunks = chunks.take(order)
-    tf_col = _column(chunks, "tfs")
-    tfs = tf_col.flatten().to_numpy().astype(np.int64)
-    doc_ids, _ = _restart_cumsum(
-        vb_decode_array(_binary_stream(_column(chunks, "doc_gaps"))),
-        np.diff(tf_col.offsets.to_numpy()))
-    if not positional:
-        return TermPostings(doc_ids, tfs, None, np.zeros(0, np.int64))
-    pos_lens = _column(chunks, "pos_lens").flatten().to_numpy().astype(np.int64)
-    buf = _binary_stream(_column(chunks, "pos_gaps"))
-    # values per posting = VB terminator bytes in its byte span
-    byte_bounds = np.zeros(len(pos_lens) + 1, np.int64)
-    np.cumsum(pos_lens, out=byte_bounds[1:])
-    if byte_bounds[-1] != len(buf):
-        raise ValueError(f"pos_lens cover {byte_bounds[-1]} of {len(buf)} position bytes")
-    terminators = np.zeros(len(buf) + 1, np.int64)
-    np.cumsum(buf >= 128, out=terminators[1:])
-    counts = terminators[byte_bounds[1:]] - terminators[byte_bounds[:-1]]
-    pos_values, pos_offsets = _restart_cumsum(vb_decode_array(buf), counts)
-    return TermPostings(doc_ids, tfs, pos_offsets, pos_values)
+def decode_term_chunks(rec: TermRecord) -> TermPostings:
+    """A term's postings from the record the locator read (the serving
+    decode seam; see :func:`decode_term_record`)."""
+    return decode_term_record(rec)
 
 
 def segmented_min_distance(pos1: np.ndarray, off1: np.ndarray,

@@ -107,7 +107,7 @@ class SegmentedSearchEngine(SearchEngine):
         # doc ids are globally unique, so the merged arrays answer each
         # segment's own doc-length lookups as well; its own copy is freed
         for eng in self.engines:
-            eng._dl_ids, eng._dl = self._dl_ids, self._dl
+            eng._dl_ids, eng._dl, eng._dl_total = self._dl_ids, self._dl, self._dl_total
 
     def refresh_tombstones(self) -> None:
         """Reload the tombstone list; cached postings were filtered by the

@@ -16,22 +16,12 @@ one contiguous record — VB doc gaps and tfs, then its runs' ``pos_enc``
 bytes — addressed by the shard's term table, so serving reads one byte
 range per term (query/locator.py).
 
-Chunk rows (``CHUNK_SCHEMA``; the reference's chunks as a table) are a
-view regenerated from the shard files by ``read_chunk_rows`` for Ray Data
-consumers (index stats, cosine norms, segment compaction). One row per
-≤chunk_size postings of a ``(term, salt)`` group, ``salt = doc_id //
-salt_span`` (hot-term skew, SURVEY.md §4: salt buckets of one term hold
-disjoint ascending doc_id ranges):
-    term:string, salt:int64, chunk_seq:int32, n_postings:int32,
-    max_tf:int32, first_doc_id:int64, max_doc_id:int64,
-    doc_gaps:binary   — delta-gap+VB doc_ids, first-of-chunk absolute
-                        (self-contained chunks; the reference continues
-                        deltas across chunks — deviation documented),
-    tfs:list<int32>   — term frequency per posting (len(positions)),
-    pos_lens:list<int32> — VB byte length per posting's positions
-                        (the reference's inline u16 lengths, helper.rs:75-78,
-                        as an explicit column),
-    pos_gaps:binary   — delta-gap+VB positions, first-per-posting absolute.
+The reference's chunk rows (≤chunk_size postings of a ``(term, salt)``
+group, ``salt = doc_id // salt_span``) are not stored: a term is one
+record. The build's ``chunk_size`` and ``salt_span`` ride in each shard
+file's footer, so index statistics can still count them
+(postings_file.shard_term_stats), and index-wide consumers read decoded
+posting rows (postings_file.read_posting_rows).
 
 Unlike the reference we never use a 0x00 delimiter (its parsing breaks on
 gaps ≥ 16384 — vb_encode.rs:91-103, SURVEY.md §2.7 C5); counts are
@@ -47,114 +37,6 @@ import pyarrow.compute as pc
 import ray
 
 from search_engine_ray.config import EngineConfig
-from search_engine_ray.functions.vb import binary_from_spans, vb_encode_array
-
-CHUNK_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("salt", pa.int64()),
-        ("chunk_seq", pa.int32()),
-        ("n_postings", pa.int32()),
-        ("max_tf", pa.int32()),
-        ("first_doc_id", pa.int64()),
-        ("max_doc_id", pa.int64()),
-        ("doc_gaps", pa.binary()),
-        ("tfs", pa.list_(pa.int32())),
-        ("pos_lens", pa.list_(pa.int32())),
-        ("pos_gaps", pa.binary()),
-    ]
-)
-
-
-def chunk_rows_from_postings(
-    term: str,
-    salt: int,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    pos_offsets: np.ndarray,
-    pos_values: np.ndarray,
-    chunk_size: int,
-) -> pa.Table:
-    """Postings of ONE (term, salt) group, doc_id-ascending → chunk rows.
-
-    pos_offsets/pos_values: list-array layout of per-posting positions
-    (pos_offsets has len(doc_ids)+1 entries). Fully vectorized: one VB encode
-    for the doc_id stream, one for the position stream. The per-group
-    reference that ``read_chunk_rows`` (stages/postings_file.py, all groups
-    of many terms at once) is tested against.
-    """
-    n = len(doc_ids)
-    if n == 0:
-        return CHUNK_SCHEMA.empty_table()
-    n_chunks = (n + chunk_size - 1) // chunk_size
-    chunk_starts = np.arange(n_chunks) * chunk_size  # posting index per chunk
-    chunk_ends = np.minimum(chunk_starts + chunk_size, n)
-
-    # --- doc_id stream: gaps, absolute at each chunk start --------------------
-    doc_gaps = np.empty(n, np.int64)
-    doc_gaps[0] = doc_ids[0]
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=doc_gaps[1:])
-    doc_gaps[chunk_starts] = doc_ids[chunk_starts]
-    doc_enc, doc_bytelens = vb_encode_array(doc_gaps)
-    doc_byte_bounds = np.zeros(n + 1, np.int64)
-    np.cumsum(doc_bytelens, out=doc_byte_bounds[1:])
-    doc_spans = doc_byte_bounds[np.append(chunk_starts, n)]
-
-    # --- position stream: gaps, absolute at each posting start ----------------
-    m = len(pos_values)
-    if m:
-        pos_gaps = np.empty(m, np.int64)
-        pos_gaps[0] = pos_values[0]
-        np.subtract(pos_values[1:], pos_values[:-1], out=pos_gaps[1:])
-        posting_starts = pos_offsets[:-1][tfs > 0]
-        pos_gaps[posting_starts] = pos_values[posting_starts]
-        pos_enc, pos_bytelens = vb_encode_array(pos_gaps)
-        byte_bounds = np.zeros(m + 1, np.int64)
-        np.cumsum(pos_bytelens, out=byte_bounds[1:])
-        # byte length per posting / byte offset per chunk
-        per_posting_bytes = byte_bounds[pos_offsets[1:]] - byte_bounds[pos_offsets[:-1]]
-        pos_spans = byte_bounds[pos_offsets[np.append(chunk_starts, n)]]
-    else:
-        pos_enc = np.zeros(0, np.uint8)
-        per_posting_bytes = np.zeros(n, np.int64)
-        pos_spans = np.zeros(n_chunks + 1, np.int64)
-
-    tf_list = pa.ListArray.from_arrays(
-        pa.array(np.append(chunk_starts, n), type=pa.int32()),
-        pa.array(tfs, type=pa.int32()),
-    )
-    pos_lens_list = pa.ListArray.from_arrays(
-        pa.array(np.append(chunk_starts, n), type=pa.int32()),
-        pa.array(per_posting_bytes, type=pa.int32()),
-    )
-
-    doc_gaps_col = binary_from_spans(doc_enc, doc_spans)
-    pos_gaps_col = binary_from_spans(pos_enc, pos_spans)
-    if not (doc_gaps_col.type == pa.binary() and pos_gaps_col.type == pa.binary()):
-        # a silent large_binary flip would mix schemas within one
-        # read_chunk_rows dataset
-        raise ValueError(
-            f"term {term!r} salt {salt}: encoded postings exceed the int32 "
-            "offset range for one group; raise salt_span so no single "
-            "(term, salt) group encodes >2 GiB, keeping the uniform "
-            "CHUNK_SCHEMA binary type"
-        )
-    return pa.table(
-        {
-            "term": pa.array([term] * n_chunks, pa.string()),
-            "salt": pa.array(np.full(n_chunks, salt), pa.int64()),
-            "chunk_seq": pa.array(np.arange(n_chunks, dtype=np.int32), pa.int32()),
-            "n_postings": pa.array((chunk_ends - chunk_starts).astype(np.int32), pa.int32()),
-            "max_tf": pa.array(np.maximum.reduceat(np.asarray(tfs, np.int64), chunk_starts).astype(np.int32), pa.int32()),
-            "first_doc_id": pa.array(doc_ids[chunk_starts], pa.int64()),
-            "max_doc_id": pa.array(doc_ids[chunk_ends - 1], pa.int64()),
-            "doc_gaps": doc_gaps_col,
-            "tfs": tf_list,
-            "pos_lens": pos_lens_list,
-            "pos_gaps": pos_gaps_col,
-        }
-    )
-
 
 #: process-global (term, term_id, shard) slice cache, keyed by the unit's
 #: hive dir — each WORKER process reads its merge unit's dictionary slice
@@ -375,7 +257,7 @@ def merge_units_task_path(
     dict_slice_tag: str = "",
 ) -> list[int]:
     """Launch one ``_merge_unit_to_shards`` task per unit; returns per-unit
-    chunk-row counts. Caller is responsible for choosing this path only when
+    posting counts. Caller is responsible for choosing this path only when
     every unit is under ``unit_task_threshold_bytes()``."""
     import os
 
@@ -434,7 +316,7 @@ def _write_sorted_shards(rows_ds, postings_dir: str, dict_dir_of, tag: str,
     more than one sorted block (writers) or one term fragment (joiners), so
     a unit larger than one worker's heap merges in bounded memory, over as
     many tasks as it has blocks. ``dict_dir_of(shard)`` names the
-    dictionary slice holding the shard's terms. → per-shard chunk-row
+    dictionary slice holding the shard's terms. → per-shard posting
     counts."""
     import os
 
@@ -493,7 +375,7 @@ def merge_units_postings(
 ) -> list[int]:
     """Single-execution merge of ALL merge units at once (the fresh-build
     path for units too large for one task) → the shard files under
-    ``postings_dir``; returns per-shard chunk-row counts.
+    ``postings_dir``; returns per-shard posting counts.
 
     ``merge_units`` concurrent per-unit executions (one Ray Data job per
     unit in driver threads) serialize on the driver's streaming-executor
@@ -565,7 +447,7 @@ def merge_shard_postings(
 ) -> list[int]:
     """Merge ONE merge unit's runs (the per-unit resume path) → the shard
     files of the unit's shards under ``postings_dir``; returns per-shard
-    chunk-row counts.
+    posting counts.
 
     Same sort-and-join as the fresh-build path (_write_sorted_shards),
     over one unit. The shuffle payload is (shard, term_id, doc_id,

@@ -15,23 +15,29 @@ record   lean part: per posting VB(doc-id gap << 1 | tf > 1) — the first
          ``pos_enc`` bytes from the runs (delta-gap VB, first absolute),
          concatenated in doc order. Posting i holds tfs[i] position
          values.
-table    one VB stream of 4·n values — ``lean_nbytes[n]``,
-         ``pos_nbytes[n]``, ``df[n]``, term byte lengths ``[n]`` — then
-         the UTF-8 term bytes; terms ascending (term_id order). Records
-         are back to back, so a term's offset is the sum of the
-         ``nbytes = lean_nbytes + pos_nbytes`` before it (~6 B per term
-         plus the term, where fixed int64 columns took 40).
+table    one VB stream of 5·n values — ``lean_nbytes[n]``,
+         ``pos_nbytes[n]``, ``df[n]``, ``max_tf[n]``, term byte lengths
+         ``[n]`` — then the UTF-8 term bytes; terms ascending (term_id
+         order). Records are back to back, so a term's offset is the sum
+         of the ``nbytes = lean_nbytes + pos_nbytes`` before it (~7 B per
+         term plus the term).
 footer   ``_FOOTER``: magic, n_terms, payload bytes (= the table's
-         offset), table VB bytes, chunk rows, chunk_size, salt_span.
+         offset), table VB bytes, n_postings (Σ df, checked against the
+         table on open), the smallest and largest doc id, chunk_size,
+         salt_span.
 
 A BM25 read takes ``lean_nbytes`` bytes at the term's offset, a
 positional read ``nbytes``.
 ``df`` lets the decode check that a record holds exactly what the table
 says, so a damaged file raises (naming file and term) instead of serving
-a short postings list. The footer keeps the build's ``chunk_size`` and
-``salt_span``: :func:`read_chunk_rows` regenerates the canonical
-``CHUNK_SCHEMA`` rows from them for Ray Data consumers, and ``chunk rows``
-is the count those rows add up to (the rows a lineage manifest reports).
+a short postings list. ``max_tf`` and ``df`` answer index statistics
+without a decode. The footer keeps the build's ``chunk_size`` and
+``salt_span``, which define the reference's chunk count of a term
+(:func:`shard_term_stats`); its doc-id range tells whether a shard spans
+more than one salt.
+
+Index-wide Ray Data consumers (cosine norms, segment compaction) read
+decoded posting rows through :func:`read_posting_rows`.
 
 Files are written under a temporary name and renamed into place, so a
 killed build never leaves a partial shard behind. A merge that sorts in
@@ -59,11 +65,10 @@ from search_engine_ray.query.postings_codec import (
     TermRecord,
     decode_term_record,
 )
-from search_engine_ray.stages.merge import CHUNK_SCHEMA
 
 SHARD_FILE = "postings.bin"
-_MAGIC = b"SEPFLAT1"
-_FOOTER = struct.Struct("<8s6q")
+_MAGIC = b"SEPFLAT2"
+_FOOTER = struct.Struct("<8s8q")
 
 #: postings rows per encode slice: bounds the fresh temporaries a writer
 #: faults in per slice (see stages/merge.py:_merge_unit_to_shards)
@@ -97,7 +102,7 @@ class ShardWriter:
         self._pos = 0
         self._terms: list[pa.Array] = []
         self._cols: list[tuple[np.ndarray, ...]] = []
-        self.chunk_rows = 0
+        self.n_postings = self.min_doc_id = self.max_doc_id = 0
 
     def add(self, terms: pa.Array, starts: np.ndarray, doc_ids: np.ndarray,
             pos_enc: pa.Array) -> None:
@@ -152,48 +157,43 @@ class ShardWriter:
             write(doc_mv[d0:d1])
             write(tf_mv[t0:t1])
             write(pos_mv[p0:p1])
-
-        # chunk rows read_chunk_rows regenerates: ceil(n / chunk_size) per
-        # (term, salt) group
-        salts = doc_ids // self.salt_span
-        change = np.empty(n, bool)
-        change[0] = True
-        np.not_equal(salts[1:], salts[:-1], out=change[1:])
-        change[heads] = True
-        group_len = np.diff(np.append(np.flatnonzero(change), n))
-        self.chunk_rows += int(((group_len + self.chunk_size - 1) // self.chunk_size).sum())
-
-        self._index(terms, lean, nbytes - lean, df)
+        self._index(terms, lean, nbytes - lean, df, np.maximum.reduceat(tfs, heads),
+                    int(doc_ids.min()), int(doc_ids.max()))
 
     def _index(self, terms: pa.Array, lean: np.ndarray, pos_nbytes: np.ndarray,
-               df: np.ndarray) -> None:
-        """Term-table entries of records just written to the file."""
-        self._cols.append((lean, pos_nbytes, df))
+               df: np.ndarray, max_tf: np.ndarray, lo_doc: int, hi_doc: int) -> None:
+        """Term-table entries of records just written to the file, whose
+        doc ids lie in ``[lo_doc, hi_doc]``."""
+        self._cols.append((lean, pos_nbytes, df, max_tf))
         self._terms.append(terms)
         self._pos += int(lean.sum() + pos_nbytes.sum())
+        self.min_doc_id = min(self.min_doc_id, lo_doc) if self.n_postings else lo_doc
+        self.max_doc_id = max(self.max_doc_id, hi_doc)
+        self.n_postings += int(df.sum())
 
     def copy_records(self, sf: "ShardFile", lo: int, hi: int) -> None:
-        """Append records ``lo:hi`` of another shard file as they are."""
+        """Append records ``lo:hi`` of another shard file as they are (the
+        footer's doc-id range widens by that file's)."""
         if hi <= lo:
             return
         start = int(sf.offsets[lo])
         sf.copy_bytes(start, int(sf.offsets[hi - 1] + sf.nbytes[hi - 1]) - start, self._f)
         self._index(pa.array(sf.terms[lo:hi], pa.string()), sf.lean[lo:hi],
-                    sf.nbytes[lo:hi] - sf.lean[lo:hi], sf.df[lo:hi])
+                    sf.nbytes[lo:hi] - sf.lean[lo:hi], sf.df[lo:hi], sf.max_tf[lo:hi],
+                    sf.min_doc_id, sf.max_doc_id)
 
-    def splice(self, frags: list[tuple["ShardFile", int]]) -> int:
+    def splice(self, frags: list[tuple["ShardFile", int]]) -> None:
         """Append ONE term whose postings arrive as records in several
         shard files (``frags``: (file, record index), in doc order) as one
         record: the fragments' doc values back to back, each later
         fragment's first gap re-based on the previous fragment's last doc
         id, then their tf bytes, then their position bytes. Holds one
-        fragment's lean part at a time. → the change in chunk rows (the
-        merged (term, salt) groups' count minus the fragments' counts)."""
+        fragment's lean part at a time."""
         sf0, i0 = frags[0]
         term = sf0.terms[i0]
         write = self._f.write
-        kept, lean_total, prev_last = [], 0, None
-        df_total = pos_total = frag_rows = merged_rows = carry_salt = carry_len = 0
+        kept, lean_total, first, prev_last = [], 0, None, None
+        df_total = pos_total = max_tf = 0
         for sf, i in frags:
             off, lean, nb, df = (int(a[i]) for a in (sf.offsets, sf.lean, sf.nbytes, sf.df))
             data = sf.pread(off, lean, term)
@@ -203,40 +203,30 @@ class ShardWriter:
             if prev_last is None:
                 write(data[:doc_nb])
                 lean_total += doc_nb
+                first = int(tp.doc_ids[0])
             else:
                 gap = int(tp.doc_ids[0]) - prev_last
                 if gap <= 0:
                     raise ValueError(f"{self.path}: term {term!r}: fragments overlap "
                                      f"(doc {tp.doc_ids[0]} after {prev_last})")
-                first, _ = vb_encode_array(np.array([(gap << 1) | int(tp.tfs[0] > 1)]))
+                head, _ = vb_encode_array(np.array([(gap << 1) | int(tp.tfs[0] > 1)]))
                 rest = data[int(ends[0]) + 1:doc_nb]
-                write(first.tobytes())
+                write(head.tobytes())
                 write(rest)
-                lean_total += len(first) + len(rest)
-            # (term, salt) groups: a group continuing across the seam is
-            # one group of the merged record
-            salts, lens = _runs(tp.doc_ids // self.salt_span)
-            frag_rows += int(_ceil_div(lens, self.chunk_size).sum())
-            if prev_last is not None:
-                if salts[0] == carry_salt:
-                    lens[0] += carry_len
-                else:
-                    merged_rows += _ceil_div(carry_len, self.chunk_size)
-            merged_rows += int(_ceil_div(lens[:-1], self.chunk_size).sum())
-            carry_salt, carry_len = int(salts[-1]), int(lens[-1])
+                lean_total += len(head) + len(rest)
             prev_last = int(tp.doc_ids[-1])
             kept.append((sf, off, lean, nb, doc_nb))
             df_total += df
             pos_total += nb - lean
-        merged_rows += _ceil_div(carry_len, self.chunk_size)
+            max_tf = max(max_tf, int(sf.max_tf[i]))
         for sf, off, lean, _nb, doc_nb in kept:
             sf.copy_bytes(off + doc_nb, lean - doc_nb, self._f)
             lean_total += lean - doc_nb
         for sf, off, lean, nb, _doc_nb in kept:
             sf.copy_bytes(off + lean, nb - lean, self._f)
         self._index(pa.array([term], pa.string()), np.array([lean_total]),
-                    np.array([pos_total]), np.array([df_total]))
-        return merged_rows - frag_rows
+                    np.array([pos_total]), np.array([df_total]), np.array([max_tf]),
+                    first, prev_last)
 
     def close(self) -> None:
         terms = (pa.concat_arrays([t.cast(pa.string()) for t in self._terms])
@@ -247,8 +237,9 @@ class ShardWriter:
         f = self._f
         f.write(table)
         f.write(tdata[toffs[0]:toffs[-1]])
-        f.write(_FOOTER.pack(_MAGIC, len(terms), self._pos, len(table),
-                             self.chunk_rows, self.chunk_size, self.salt_span))
+        f.write(_FOOTER.pack(_MAGIC, len(terms), self._pos, len(table), self.n_postings,
+                             self.min_doc_id, self.max_doc_id, self.chunk_size,
+                             self.salt_span))
         f.close()
         os.replace(self._tmp, self.path)
 
@@ -260,16 +251,6 @@ class ShardWriter:
             pass
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, length) of each run of equal consecutive ``values``."""
-    starts = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
-    return values[starts], np.diff(np.append(starts, len(values)))
-
-
-def _ceil_div(a, b: int):
-    return (a + b - 1) // b
-
-
 def write_shard_file(path: str, rows: pa.Table, tids: np.ndarray,
                      order: np.ndarray | None, terms_of, chunk_size: int,
                      salt_span: int) -> int:
@@ -278,7 +259,7 @@ def write_shard_file(path: str, rows: pa.Table, tids: np.ndarray,
     doc_id) order, or is None when ``rows`` already are in that order;
     ``tids`` is the term_id of every row and ``terms_of(term_ids)`` gives
     their term strings. Rows are taken and encoded in slices cut at term
-    starts. → the file's chunk-row count."""
+    starts. → the file's posting count."""
     w = ShardWriter(path, chunk_size, salt_span)
     try:
         tids_sorted = tids if order is None else tids[order]
@@ -304,7 +285,7 @@ def write_shard_file(path: str, rows: pa.Table, tids: np.ndarray,
     except BaseException:
         w.abort()
         raise
-    return w.chunk_rows
+    return w.n_postings
 
 
 class ShardFile:
@@ -318,8 +299,9 @@ class ShardFile:
         size = os.fstat(fd).st_size
         if size < _FOOTER.size:
             raise DamagedShardError(f"{path}: {size} bytes, shorter than the footer")
-        (magic, n, table_at, table_vb, self.chunk_rows, self.chunk_size,
-         self.salt_span) = _FOOTER.unpack(os.pread(fd, _FOOTER.size, size - _FOOTER.size))
+        (magic, n, table_at, table_vb, self.n_postings, self.min_doc_id, self.max_doc_id,
+         self.chunk_size, self.salt_span) = _FOOTER.unpack(
+            os.pread(fd, _FOOTER.size, size - _FOOTER.size))
         table_nbytes = size - _FOOTER.size - table_at
         if (magic != _MAGIC or n < 0 or table_at < 0 or table_vb < 0
                 or table_vb > table_nbytes):
@@ -334,15 +316,18 @@ class ShardFile:
             cols = vb_decode_array(np.frombuffer(table, np.uint8, table_vb)).view(np.int64)
         except ValueError as e:
             raise DamagedShardError(f"{path}: term table: {e}") from None
-        if len(cols) != 4 * n:
+        if len(cols) != 5 * n:
             raise DamagedShardError(f"{path}: term table holds {len(cols)} values, "
-                                    f"expected {4 * n}")
-        lean, pos_nb, df, term_len = cols.reshape(4, n)
+                                    f"expected {5 * n}")
+        lean, pos_nb, df, max_tf, term_len = cols.reshape(5, n)
         term_at = np.zeros(n + 1, np.int64)
         np.cumsum(term_len, out=term_at[1:])
         if term_at[-1] != table_nbytes - table_vb:
             raise DamagedShardError(f"{path}: term lengths cover {term_at[-1]} of "
                                     f"{table_nbytes - table_vb} term bytes")
+        if df.sum() != self.n_postings:
+            raise DamagedShardError(f"{path}: term table holds {df.sum()} postings, "
+                                    f"the footer {self.n_postings}")
         terms = pa.Array.from_buffers(pa.large_string(), n, [
             None, pa.py_buffer(term_at), pa.py_buffer(table[table_vb:])])
         try:
@@ -360,7 +345,7 @@ class ShardFile:
                 f"{path}: term {self.terms[i]!r}: record [{off[i]}, {off[i] + nb[i]}) "
                 f"(lean {lean[i]} B) does not fit the {table_at}-byte payload")
         self._index = {t: i for i, t in enumerate(self.terms)}
-        self.offsets, self.lean, self.nbytes, self.df = off, lean, nb, df
+        self.offsets, self.lean, self.nbytes, self.df, self.max_tf = off, lean, nb, df, max_tf
         self._entries = list(zip(off.tolist(), lean.tolist(), nb.tolist(), df.tolist()))
 
     def entry(self, term: str) -> tuple[int, int, int, int] | None:
@@ -402,13 +387,13 @@ class ShardFile:
 
 
 def shard_file_rows(path: str) -> int:
-    """The chunk-row count a shard file's footer records."""
+    """The posting count a shard file's footer records."""
     with open(path, "rb") as f:
         f.seek(-_FOOTER.size, os.SEEK_END)
-        magic, *_n, chunk_rows, _cs, _ss = _FOOTER.unpack(f.read(_FOOTER.size))
+        magic, _n, _at, _vb, n_postings, *_rest = _FOOTER.unpack(f.read(_FOOTER.size))
     if magic != _MAGIC:
         raise DamagedShardError(f"{path}: not a postings shard file")
-    return chunk_rows
+    return n_postings
 
 
 def shard_files(postings_dir: str) -> list[str]:
@@ -421,9 +406,20 @@ def shard_files(postings_dir: str) -> list[str]:
     return [p for _k, p in sorted(found)]
 
 
-#: payload bytes decoded together when regenerating chunk rows: bounds a
-#: read task's temporaries (a few bytes each per payload byte)
+#: payload bytes decoded together by the index-wide readers: bounds a read
+#: task's temporaries (a few bytes each per payload byte)
 _BATCH_BYTES = 8 << 20
+
+
+def _record_batches(sf: ShardFile):
+    """Consecutive record ranges ``(lo, hi)`` of ``sf``, each ~``_BATCH_BYTES``
+    of payload (at least one record)."""
+    ends = np.cumsum(sf.nbytes)
+    lo = 0
+    while lo < len(sf.terms):
+        hi = max(lo + 1, int(np.searchsorted(ends, int(sf.offsets[lo]) + _BATCH_BYTES, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
@@ -499,81 +495,94 @@ def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
     return doc_ids, tfs, pos_bytes, pos_bounds
 
 
-def _chunk_rows(terms: list[str], df: np.ndarray, doc_ids: np.ndarray,
-                tfs: np.ndarray, pos_bytes, pos_bounds, chunk_size: int,
-                salt_span: int, columns: list[str]) -> pa.Table:
-    """``CHUNK_SCHEMA`` rows (only ``columns``) of consecutive terms'
-    decoded postings: one row per ≤chunk_size postings of each (term,
-    salt) group, built for all groups at once — one VB encode of the doc
-    gaps; ``pos_gaps`` slices the postings' ``pos_enc`` bytes as they
-    are."""
-    n = len(doc_ids)
-    rec = np.repeat(np.arange(len(df)), df)
-    salts = doc_ids // salt_span
-    change = np.empty(n, bool)
-    change[0] = True
-    np.logical_or(rec[1:] != rec[:-1], salts[1:] != salts[:-1], out=change[1:])
-    group_starts = np.flatnonzero(change)
-    in_group = np.arange(n) - np.repeat(group_starts, np.diff(np.append(group_starts, n)))
-    starts = np.flatnonzero(in_group % chunk_size == 0)
-    bounds = np.append(starts, n)
-    list_bounds = pa.array(bounds, pa.int32())
-
-    def doc_gaps() -> pa.Array:
-        gaps = np.empty(n, np.int64)
-        gaps[0] = doc_ids[0]
-        np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
-        gaps[starts] = doc_ids[starts]
-        enc, lens = vb_encode_array(gaps)
-        byte_at = np.zeros(n + 1, np.int64)
-        np.cumsum(lens, out=byte_at[1:])
-        return binary_from_spans(enc, byte_at[bounds])
-
-    make = {
-        "term": lambda: pa.array(terms, pa.string()).take(pa.array(rec[starts])),
-        "salt": lambda: pa.array(salts[starts], pa.int64()),
-        "chunk_seq": lambda: pa.array((in_group[starts] // chunk_size).astype(np.int32)),
-        "n_postings": lambda: pa.array(np.diff(bounds).astype(np.int32)),
-        "max_tf": lambda: pa.array(np.maximum.reduceat(tfs, starts).astype(np.int32)),
-        "first_doc_id": lambda: pa.array(doc_ids[starts], pa.int64()),
-        "max_doc_id": lambda: pa.array(doc_ids[bounds[1:] - 1], pa.int64()),
-        "doc_gaps": doc_gaps,
-        "tfs": lambda: pa.ListArray.from_arrays(list_bounds, pa.array(tfs, pa.int32())),
-        "pos_lens": lambda: pa.ListArray.from_arrays(
-            list_bounds, pa.array(np.diff(pos_bounds), pa.int32())),
-        "pos_gaps": lambda: binary_from_spans(pos_bytes, pos_bounds[bounds]),
-    }
-    cols = [make[c]() for c in columns]
-    for c, col in zip(columns, cols):
-        if pa.types.is_large_binary(col.type):
-            # a silent large_binary flip would mix schemas within one
-            # read_chunk_rows dataset
-            raise ValueError(f"{c}: over 2 GiB of encoded bytes in one batch of "
-                             f"terms from {terms[0]!r}")
-    return pa.Table.from_arrays(cols, schema=pa.schema([CHUNK_SCHEMA.field(c) for c in columns]))
+def _posting_rows_schema(positions: bool) -> pa.Schema:
+    """The schema of :func:`read_posting_rows`' rows."""
+    return pa.schema([("term", pa.dictionary(pa.int32(), pa.string())), ("df", pa.int64()),
+                      ("doc_id", pa.int64()), ("tf", pa.int64())]
+                     + ([("pos_enc", pa.binary())] if positions else []))
 
 
-def chunk_rows_of_shard(path: str, columns: list[str] | None = None):
-    """Yield the canonical ``CHUNK_SCHEMA`` rows of one shard file (only
-    ``columns`` when given) — the rows ``chunk_rows_from_postings`` gives
-    for each (term, salt) group at the build's chunk_size/salt_span — one
-    table per ~``_BATCH_BYTES`` of records, decoded and chunked together."""
-    columns = list(columns or CHUNK_SCHEMA.names)
+def shard_posting_rows(path: str, positions: bool):
+    """Yield one shard file's postings, one table per ~``_BATCH_BYTES`` of
+    records decoded together: a row per posting, in (term, doc_id) order,
+    with its term (dictionary-encoded: one string per record), the term's
+    df, doc_id, tf and — when ``positions`` — its ``pos_enc`` bytes, sliced
+    from the record as they are. An empty shard yields one empty table."""
     sf = ShardFile(path)
-    positions = "pos_lens" in columns or "pos_gaps" in columns
     try:
         if not sf.terms:
-            yield CHUNK_SCHEMA.empty_table().select(columns)
-            return
-        ends = np.cumsum(sf.nbytes)
-        lo = 0
-        while lo < len(sf.terms):
-            hi = max(lo + 1, int(np.searchsorted(
-                ends, int(sf.offsets[lo]) + _BATCH_BYTES, "right")))
+            yield _posting_rows_schema(positions).empty_table()
+        for lo, hi in _record_batches(sf):
             doc_ids, tfs, pos_bytes, pos_bounds = _decode_records(sf, lo, hi, positions)
-            yield _chunk_rows(sf.terms[lo:hi], sf.df[lo:hi], doc_ids, tfs, pos_bytes,
-                              pos_bounds, sf.chunk_size, sf.salt_span, columns)
-            lo = hi
+            df = sf.df[lo:hi]
+            cols = [pa.DictionaryArray.from_arrays(
+                        np.repeat(np.arange(hi - lo, dtype=np.int32), df),
+                        pa.array(sf.terms[lo:hi], pa.string())),
+                    pa.array(np.repeat(df, df)), pa.array(doc_ids), pa.array(tfs)]
+            if positions:
+                cols.append(binary_from_spans(pos_bytes, pos_bounds))
+                if cols[-1].type != pa.binary():
+                    # a silent large_binary flip would mix schemas within
+                    # one read_posting_rows dataset
+                    raise ValueError(f"{path}: over 2 GiB of position bytes in one "
+                                     f"batch of terms from {sf.terms[lo]!r}")
+            yield pa.Table.from_arrays(cols, schema=_posting_rows_schema(positions))
+    finally:
+        sf.close()
+
+
+def read_posting_rows(postings_dir: str, positions: bool = False):
+    """A Ray Dataset of the index's postings (:func:`shard_posting_rows`),
+    decoded from the shard files one read task per shard — the reader for
+    index-wide Ray Data consumers (cosine norms, segment compaction)."""
+    import ray.data
+
+    paths = shard_files(postings_dir)
+    if not paths:
+        return ray.data.from_arrow(_posting_rows_schema(positions).empty_table())
+
+    def decode(batch: pa.Table):
+        for p in batch["path"].to_pylist():
+            yield from shard_posting_rows(p, positions)
+
+    return ray.data.from_items([{"path": p} for p in paths],
+                               override_num_blocks=len(paths)).map_batches(
+        decode, batch_format="pyarrow", batch_size=1)
+
+
+def _chunks_per_term(salts: np.ndarray, df: np.ndarray, chunk_size: int) -> np.ndarray:
+    """Chunks per term of consecutive terms' postings (``df`` each, with
+    the given ``salts``): ≤chunk_size postings of each (term, salt) group."""
+    n = len(salts)
+    rec = np.repeat(np.arange(len(df)), df)
+    change = np.ones(n, bool)
+    np.logical_or(rec[1:] != rec[:-1], salts[1:] != salts[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    chunks = (np.diff(np.append(starts, n)) + chunk_size - 1) // chunk_size
+    return np.bincount(rec[starts], weights=chunks, minlength=len(df)).astype(np.int64)
+
+
+def shard_term_stats(path: str) -> pa.Table:
+    """(term, n_postings, max_tf, n_chunks) of every term of one shard
+    file, from its term table: n_postings is the term's df, and n_chunks
+    counts the reference's ≤chunk_size-posting chunks of each (term, salt
+    = doc_id // salt_span) group. Doc ids are decoded only when the
+    footer's doc-id range spans more than one salt; otherwise a term's
+    chunks are ceil(df / chunk_size)."""
+    sf = ShardFile(path)
+    try:
+        span, size = sf.salt_span, sf.chunk_size
+        if sf.min_doc_id // span == sf.max_doc_id // span:
+            n_chunks = (sf.df + size - 1) // size
+        else:
+            n_chunks = np.concatenate([
+                _chunks_per_term(_decode_records(sf, lo, hi, False)[0] // span,
+                                 sf.df[lo:hi], size)
+                for lo, hi in _record_batches(sf)])
+        return pa.table({"term": pa.array(sf.terms, pa.string()),
+                         "n_postings": pa.array(sf.df, pa.int64()),
+                         "max_tf": pa.array(sf.max_tf, pa.int64()),
+                         "n_chunks": pa.array(n_chunks, pa.int64())})
     finally:
         sf.close()
 
@@ -584,7 +593,8 @@ def join_shard_parts(path: str, parts: list[str]) -> int:
     Runs of whole records are copied as bytes; a term whose postings
     straddle parts is spliced into one record (ShardWriter.splice). Holds
     the parts' term tables (together, the shard's) and one fragment's lean
-    part at a time; bytes move in bounded steps. → the file's chunk rows."""
+    part at a time; bytes move in bounded steps. → the file's posting
+    count."""
     if len(parts) == 1:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         os.replace(parts[0], path)
@@ -592,13 +602,11 @@ def join_shard_parts(path: str, parts: list[str]) -> int:
     files = [ShardFile(p) for p in parts]
     w = ShardWriter(path, files[0].chunk_size, files[0].salt_span)
     try:
-        rows = sum(f.chunk_rows for f in files)
         pending: list[tuple[ShardFile, int]] = []  # fragments of one term
 
         def flush() -> None:
-            nonlocal rows
             if len(pending) > 1:
-                rows += w.splice(pending)
+                w.splice(pending)
             elif pending:
                 w.copy_records(pending[0][0], pending[0][1], pending[0][1] + 1)
             pending.clear()
@@ -620,7 +628,6 @@ def join_shard_parts(path: str, parts: list[str]) -> int:
             if hi < n:
                 pending.append((f, hi))
         flush()
-        w.chunk_rows = rows
         w.close()
     except BaseException:
         w.abort()
@@ -630,25 +637,4 @@ def join_shard_parts(path: str, parts: list[str]) -> int:
             f.close()
     for p in parts:
         os.remove(p)
-    return rows
-
-
-def read_chunk_rows(postings_dir: str, columns: list[str] | None = None):
-    """A Ray Dataset of the index's chunk rows (``CHUNK_SCHEMA``, pruned
-    to ``columns``), regenerated from the shard files one read task per
-    shard — the reader for Ray Data consumers of chunk metadata (index
-    stats, cosine norms, segment compaction)."""
-    import ray.data
-
-    paths = shard_files(postings_dir)
-    if not paths:
-        empty = CHUNK_SCHEMA.empty_table()
-        return ray.data.from_arrow(empty.select(columns) if columns else empty)
-
-    def regen(batch: pa.Table):
-        for p in batch["path"].to_pylist():
-            yield from chunk_rows_of_shard(p, columns)
-
-    return ray.data.from_items([{"path": p} for p in paths],
-                               override_num_blocks=len(paths)).map_batches(
-        regen, batch_format="pyarrow", batch_size=1)
+    return w.n_postings

@@ -37,8 +37,7 @@ def scan_partitions(stage_dir: str) -> list[dict]:
     """Enumerate produced files (per-partition lineage entries): parquet
     files with their row counts, and postings shard files
     (stages/postings_file.py) with the file size as bytes and, as rows,
-    the chunk rows ``read_chunk_rows`` regenerates from the file — the row
-    unit the postings stage has always reported."""
+    the postings the file holds (its footer's count)."""
     from search_engine_ray.stages.postings_file import SHARD_FILE, shard_file_rows
 
     out = []

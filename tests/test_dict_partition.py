@@ -15,15 +15,21 @@ from search_engine_ray.functions.hashing import poly_hash_str
 from search_engine_ray.pipelines.build import IndexPaths, build_index
 from search_engine_ray.sources.webpages import generate_webpages
 from search_engine_ray.stages.merge import load_dict_slice
-from search_engine_ray.stages.postings_file import ShardFile, read_chunk_rows, shard_files
+from search_engine_ray.stages.postings_file import ShardFile, read_posting_rows, shard_files
 
 
-def _chunk_rows(out: str) -> pa.Table:
-    """The index's chunk rows (read_chunk_rows) in (term, salt, chunk_seq)
-    order."""
-    t = pa.concat_tables(ray.get(read_chunk_rows(IndexPaths(out).postings).to_arrow_refs()))
-    return t.combine_chunks().sort_by(
-        [("term", "ascending"), ("salt", "ascending"), ("chunk_seq", "ascending")])
+def _postings(out: str) -> dict:
+    """term → (doc ids, tfs, pos_enc bytes) of the index's posting rows
+    (read_posting_rows)."""
+    t = pa.concat_tables(ray.get(
+        read_posting_rows(IndexPaths(out).postings, positions=True).to_arrow_refs()))
+    per_term: dict = {}
+    for r in t.to_pylist():
+        docs, tfs, pos = per_term.setdefault(r["term"], ([], [], []))
+        docs.append(r["doc_id"])
+        tfs.append(r["tf"])
+        pos.append(r["pos_enc"])
+    return per_term
 
 
 def test_dictionary_hive_partitioned_by_merge_unit(ray_session, tmp_path):
@@ -95,8 +101,8 @@ def test_stale_slice_cache_invalidated_by_tag(ray_session, tmp_path):
 
 def test_global_merge_path_matches_per_unit(ray_session, tmp_path, monkeypatch):
     """The fresh-build single-execution merge (merge_units_postings) must
-    produce the same index as the per-unit resume path: identical chunk rows
-    per (term, salt, first_doc_id) and identical query results."""
+    produce the same index as the per-unit resume path: identical posting
+    rows per term and identical query results."""
     import pandas as pd
 
     from search_engine_ray.query.engine import SearchEngine
@@ -108,25 +114,9 @@ def test_global_merge_path_matches_per_unit(ray_session, tmp_path, monkeypatch):
     out_u = str(tmp_path / "idx_perunit")
     build_index(pages, out_u, EngineConfig())
 
-    def decoded(out):
-        from search_engine_ray.query.postings_codec import decode_term_chunks
-
-        t = _chunk_rows(out)
-        per_term = {}
-        for term in set(t["term"].to_pylist()):
-            import pyarrow.compute as pc
-
-            tp = decode_term_chunks(t.filter(pc.equal(t["term"], term)))
-            per_term[term] = (tp.doc_ids.tolist(), tp.tfs.tolist(),
-                              tp.pos_offsets.tolist(), tp.pos_values.tolist())
-        return per_term
-
-    a, b = decoded(out_g), decoded(out_u)
+    a, b = _postings(out_g), _postings(out_u)
     assert a.keys() == b.keys()
     assert a == b
-    # chunk rows are regenerated per (term, salt), so both paths give the
-    # same rows, not only the same decoded postings
-    assert _chunk_rows(out_g).equals(_chunk_rows(out_u))
 
     eg, eu = SearchEngine(out_g), SearchEngine(out_u)
     for q in ("alpha beta", "the quick", "zzz nothing"):
@@ -139,8 +129,6 @@ def test_unit_task_merge_matches_global_sort_path(ray_session, tmp_path, monkeyp
     same decoded postings and query results as the global sort-shuffle path,
     and exactly one file per shard dir."""
     from search_engine_ray.query.engine import SearchEngine
-    from search_engine_ray.query.postings_codec import decode_term_chunks
-    import pyarrow.compute as pc
 
     pages = generate_webpages(400, vocab_size=900, tokens_per_doc=60, seed=29)
     out_t = str(tmp_path / "idx_task")
@@ -157,16 +145,7 @@ def test_unit_task_merge_matches_global_sort_path(ray_session, tmp_path, monkeyp
                      if not f.startswith("_")]
             assert files == ["postings.bin"], (d, files)
 
-    def decoded(out):
-        t = _chunk_rows(out)
-        return {
-            term: (lambda tp: (tp.doc_ids.tolist(), tp.tfs.tolist(),
-                               tp.pos_offsets.tolist(), tp.pos_values.tolist()))(
-                decode_term_chunks(t.filter(pc.equal(t["term"], term))))
-            for term in set(t["term"].to_pylist())
-        }
-
-    assert decoded(out_t) == decoded(out_g)
+    assert _postings(out_t) == _postings(out_g)
     et, eg = SearchEngine(out_t), SearchEngine(out_g)
     for q in ("alpha beta", "the quick", "zzz nothing"):
         assert et.bm25_topk(q, 10) == eg.bm25_topk(q, 10)
@@ -216,3 +195,29 @@ def test_sorted_part_merges_write_unit_task_bytes(ray_session, tmp_path, monkeyp
     assert len(want) == EngineConfig().index_shards
     assert shard_bytes(outs["global"]) == want
     assert shard_bytes(outs["unit"]) == want
+
+
+def test_posting_rows_of_joined_parts_equal_engine_postings(
+        ray_session, tmp_path, monkeypatch, assert_posting_rows_match_engine):
+    """An index whose shards arrive in several sorted part files (joined,
+    with terms spliced across parts) reads back through read_posting_rows
+    as SearchEngine.get_postings serves it, for every term."""
+    from search_engine_ray.stages import merge
+
+    n_parts = []
+    join = merge._join_shard_parts
+
+    class CountingJoin:
+        @staticmethod
+        def remote(path, parts):
+            n_parts.append(len(parts))
+            return join.remote(path, parts)
+
+    monkeypatch.setattr(merge, "_join_shard_parts", CountingJoin)
+    monkeypatch.setenv("SE_RAY_SORT_BLOCK_PARQUET_BYTES", str(16 << 10))
+    monkeypatch.setenv("SE_RAY_MERGE_UNIT_TASK", "0")
+    pages = generate_webpages(400, vocab_size=900, tokens_per_doc=60, seed=37)
+    out = str(tmp_path / "idx")
+    build_index(pages, out, EngineConfig())
+    assert max(n_parts) > 1, n_parts
+    assert_posting_rows_match_engine(out, EngineConfig())

@@ -21,7 +21,8 @@ from search_engine_ray.pipelines.build import build_index
 from search_engine_ray.query.engine import SearchEngine
 from search_engine_ray.query.postings_codec import LEAN_COLUMNS, decode_term_chunks
 from search_engine_ray.sources.webpages import generate_webpages
-from search_engine_ray.stages.postings_file import ShardFile, read_chunk_rows, shard_file
+from search_engine_ray.functions.vb import encode_ascending
+from search_engine_ray.stages.postings_file import ShardFile, read_posting_rows, shard_file
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +84,16 @@ class TestLocator:
         out, cfg = sharded_index
         eng = SearchEngine(out, cfg, build_bktree=False)
         dic = pq.read_table(eng.paths.dictionary, columns=["term"]).to_pandas()
-        full = pa.concat_tables(ray.get(read_chunk_rows(eng.paths.postings).to_arrow_refs()))
+        full = pa.concat_tables(ray.get(
+            read_posting_rows(eng.paths.postings, positions=True).to_arrow_refs()))
+        full = full.set_column(0, "term", full["term"].cast(pa.string()))
         for term in dic["term"].sample(25, random_state=7):
             got = decode_term_chunks(eng.locator.read(term))
-            want = decode_term_chunks(full.filter(pc.equal(full["term"], term)))
-            np.testing.assert_array_equal(got.doc_ids, want.doc_ids, err_msg=term)
-            np.testing.assert_array_equal(got.tfs, want.tfs, err_msg=term)
-            np.testing.assert_array_equal(got.pos_offsets, want.pos_offsets, err_msg=term)
-            np.testing.assert_array_equal(got.pos_values, want.pos_values, err_msg=term)
+            want = full.filter(pc.equal(full["term"], term))
+            np.testing.assert_array_equal(got.doc_ids, want["doc_id"], err_msg=term)
+            np.testing.assert_array_equal(got.tfs, want["tf"], err_msg=term)
+            assert [encode_ascending(got.positions_of(i)) for i in range(got.df)] == (
+                want["pos_enc"].to_pylist()), term
 
     def test_missing_term_empty(self, sharded_index):
         out, cfg = sharded_index
@@ -106,9 +109,8 @@ class TestLocator:
         rec = eng.locator.read(term, columns=LEAN_COLUMNS)
         assert not rec.positional and len(rec.data) == rec.lean_nbytes
         assert decode_term_chunks(rec).pos_offsets is None
-        cols = ["term", "n_postings", "max_tf", "max_doc_id", "doc_gaps", "tfs"]
-        chunks = read_chunk_rows(eng.paths.postings, cols).take_all()
-        assert chunks and set(chunks[0]) == set(cols)
+        rows = read_posting_rows(eng.paths.postings).take_all()
+        assert rows and set(rows[0]) == {"term", "df", "doc_id", "tf"}
 
     def test_wand_matches_exhaustive_on_sharded_layout(self, sharded_index):
         out, cfg = sharded_index

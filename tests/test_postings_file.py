@@ -1,7 +1,8 @@
 """The flat shard-file codec (stages/postings_file.py): what a shard file
-stores reads back exactly — lean and positional records, and the chunk
-rows regenerated from it — and a damaged file raises, naming the file and
-the term, instead of serving a short postings list."""
+stores reads back exactly — lean and positional records, the posting rows
+the index-wide reader decodes and the per-term statistics of its term
+table — and a damaged file raises, naming the file and the term, instead
+of serving a short postings list."""
 
 import os
 import re
@@ -17,16 +18,16 @@ from hypothesis import strategies as st
 from search_engine_ray.functions.vb import encode_ascending, vb_decode_array, vb_encode_array
 from search_engine_ray.query.locator import PostingsLocator
 from search_engine_ray.query.postings_codec import DamagedShardError, decode_term_chunks
-from search_engine_ray.stages.merge import chunk_rows_from_postings
 from search_engine_ray.stages import postings_file
 from search_engine_ray.stages.postings_file import (
     _FOOTER,
     ShardFile,
     ShardWriter,
-    chunk_rows_of_shard,
     join_shard_parts,
-    read_chunk_rows,
+    read_posting_rows,
     shard_file,
+    shard_posting_rows,
+    shard_term_stats,
     write_shard_file,
 )
 from search_engine_ray.state import manifests
@@ -80,27 +81,29 @@ def _write(path, shard, chunk_size, salt_span) -> int:
                             chunk_size, salt_span)
 
 
-def _expected_chunks(shard, chunk_size, salt_span) -> pa.Table:
-    parts = []
-    for t, (doc_ids, positions) in shard.items():
-        salts = doc_ids // salt_span
-        for s in np.unique(salts):
-            m = np.flatnonzero(salts == s)
-            pos = [positions[i] for i in m]
-            off = np.zeros(len(m) + 1, np.int64)
-            np.cumsum([len(p) for p in pos], out=off[1:])
-            parts.append(chunk_rows_from_postings(
-                t, int(s), doc_ids[m], np.diff(off), off, np.concatenate(pos),
-                chunk_size))
-    return pa.concat_tables(parts)
+def _expected_rows(shard, positions=True) -> list[dict]:
+    """The posting rows of a shard, in (term, doc_id) order."""
+    return [dict(term=t, df=len(doc_ids), doc_id=int(d), tf=len(p),
+                 **({"pos_enc": encode_ascending(p)} if positions else {}))
+            for t, (doc_ids, pos) in shard.items() for d, p in zip(doc_ids, pos)]
 
 
-@pytest.mark.parametrize("chunk_size,salt_span", [DEFAULT, TINY])
-@settings(max_examples=20, deadline=None)
-@given(shard=shards())
-def test_shard_codec_roundtrip(tmp_path_factory, shard, chunk_size, salt_span):
-    path = str(tmp_path_factory.mktemp("flat") / "shard=0" / "postings.bin")
-    n_chunks = _write(path, shard, chunk_size, salt_span)
+def _posting_rows(path, positions=True) -> pa.Table:
+    return pa.concat_tables(shard_posting_rows(path, positions))
+
+
+def _expected_stats(shard, chunk_size, salt_span) -> dict:
+    """term → (n_postings, max_tf, n_chunks): the reference's chunks cap
+    at chunk_size postings per (term, salt = doc_id // salt_span) group."""
+    return {t: (len(doc_ids), max(len(p) for p in pos),
+                sum(-(-int(n) // chunk_size)
+                    for n in np.unique(doc_ids // salt_span, return_counts=True)[1]))
+            for t, (doc_ids, pos) in shard.items()}
+
+
+def _assert_reads_back(path, shard, chunk_size, salt_span):
+    """Every record, the posting rows and the term stats of the shard file
+    at ``path`` hold exactly ``shard``."""
     sf = ShardFile(path)
     assert sf.terms == list(shard)
     for t, (doc_ids, positions) in shard.items():
@@ -112,12 +115,49 @@ def test_shard_codec_roundtrip(tmp_path_factory, shard, chunk_size, salt_span):
         np.testing.assert_array_equal(full.doc_ids, doc_ids)
         for i, p in enumerate(positions):
             np.testing.assert_array_equal(full.positions_of(i), p)
-    want = _expected_chunks(shard, chunk_size, salt_span)
-    got = pa.concat_tables(chunk_rows_of_shard(path))
-    assert got.equals(want)
-    assert n_chunks == sf.chunk_rows == want.num_rows
-    lean_cols = ["term", "salt", "n_postings", "max_tf", "doc_gaps", "tfs"]
-    assert pa.concat_tables(chunk_rows_of_shard(path, lean_cols)).equals(want.select(lean_cols))
+    all_docs = np.concatenate([d for d, _ in shard.values()])
+    assert sf.n_postings == len(all_docs)
+    assert (sf.min_doc_id, sf.max_doc_id) == (all_docs.min(), all_docs.max())
+    for positions in (True, False):
+        rows = _posting_rows(path, positions)
+        assert rows.schema == postings_file._posting_rows_schema(positions)
+        assert rows.to_pylist() == _expected_rows(shard, positions)
+    stats = shard_term_stats(path).to_pylist()
+    assert {r["term"]: (r["n_postings"], r["max_tf"], r["n_chunks"]) for r in stats} == (
+        _expected_stats(shard, chunk_size, salt_span))
+
+
+@pytest.mark.parametrize("chunk_size,salt_span", [DEFAULT, TINY])
+@settings(max_examples=20, deadline=None)
+@given(shard=shards())
+def test_shard_codec_roundtrip(tmp_path_factory, shard, chunk_size, salt_span):
+    path = str(tmp_path_factory.mktemp("flat") / "shard=0" / "postings.bin")
+    n_postings = _write(path, shard, chunk_size, salt_span)
+    assert n_postings == sum(len(d) for d, _ in shard.values())
+    _assert_reads_back(path, shard, chunk_size, salt_span)
+
+
+#: record-level edge cases, one term each: a leading position 0 (the delta
+#: sentinel edge, helper.rs:6-44), doc id 0, doc and position gaps
+#: ≥ 16,384 whose VB bytes hold interior zeros (the reference's delimiter
+#: landmine, vb_encode.rs:91-103), and a single posting
+EXAMPLES = {
+    "position_zero": ([1, 2], [[0], [0, 1, 2]]),
+    "doc_id_zero": ([0, 1, 5], [[1], [2], [3]]),
+    "large_gaps": ([1, 20_000, 3_000_000, 3_000_001],
+                   [[16_384], [0, 20_000], [7], [2**31 - 2]]),
+    "single_posting": ([1], [[0, 5, 9]]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXAMPLES))
+@pytest.mark.parametrize("chunk_size,salt_span", [DEFAULT, (1, 2)])
+def test_record_examples(tmp_path, name, chunk_size, salt_span):
+    doc_ids, positions = EXAMPLES[name]
+    shard = {"t": (np.array(doc_ids, np.int64), [np.array(p, np.int64) for p in positions])}
+    path = str(tmp_path / "shard=0" / "postings.bin")
+    _write(path, shard, chunk_size, salt_span)
+    _assert_reads_back(path, shard, chunk_size, salt_span)
 
 
 SHARD = {
@@ -150,7 +190,7 @@ def test_joined_parts_equal_one_write(tmp_path_factory, shard, data, chunk_size,
                          lambda codes: terms_pa.take(pa.array(codes)),
                          chunk_size, salt_span)
     joined = str(d / "shard=0" / "postings.bin")
-    assert join_shard_parts(joined, parts) == ShardFile(whole).chunk_rows
+    assert join_shard_parts(joined, parts) == ShardFile(whole).n_postings
     with open(whole, "rb") as f1, open(joined, "rb") as f2:
         assert f1.read() == f2.read()
     assert not any(os.path.exists(p) for p in parts)
@@ -158,15 +198,17 @@ def test_joined_parts_equal_one_write(tmp_path_factory, shard, data, chunk_size,
 
 @settings(max_examples=10, deadline=None)
 @given(shard=shards())
-def test_chunk_rows_batched_equal_one_batch(tmp_path_factory, shard):
-    """Chunk rows regenerated a few records at a time equal one batch."""
+def test_posting_rows_batched_equal_one_batch(tmp_path_factory, shard):
+    """Posting rows decoded a few records at a time equal one batch."""
     path = str(tmp_path_factory.mktemp("batch") / "shard=0" / "postings.bin")
     _write(path, shard, *TINY)
-    want = pa.concat_tables(chunk_rows_of_shard(path))
+    want = _posting_rows(path).to_pylist()
     with mock.patch.object(postings_file, "_BATCH_BYTES", 1):
-        got = list(chunk_rows_of_shard(path))
+        got = list(shard_posting_rows(path, True))
+        stats = shard_term_stats(path)
     assert len(got) == len(shard)
-    assert pa.concat_tables(got).equals(want)
+    assert pa.concat_tables(got).to_pylist() == want
+    assert stats.equals(shard_term_stats(path))
 
 
 @pytest.fixture()
@@ -176,9 +218,14 @@ def shard_dir(tmp_path):
     return d
 
 
-def test_read_chunk_rows_over_ray(ray_session, shard_dir):
-    got = pa.concat_tables(ray.get(read_chunk_rows(shard_dir).to_arrow_refs()))
-    assert got.combine_chunks().equals(_expected_chunks(SHARD, *TINY))
+@pytest.mark.parametrize("positions", [False, True])
+def test_read_posting_rows_over_ray(ray_session, shard_dir, positions):
+    ds = read_posting_rows(shard_dir, positions)
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.to_pylist() == _expected_rows(SHARD, positions)
+    empty = read_posting_rows(shard_dir + "-none", positions)
+    assert empty.count() == 0
+    assert empty.schema().names == got.column_names
 
 
 def test_manifest_counts_shard_files(shard_dir):
@@ -186,8 +233,8 @@ def test_manifest_counts_shard_files(shard_dir):
     doc = manifests.write_manifest(shard_dir, "postings", "fp")
     assert doc["partitions"] == [{"path": os.path.join("shard=0", "postings.bin"),
                                   "bytes": os.path.getsize(path),
-                                  "rows": _expected_chunks(SHARD, *TINY).num_rows}]
-    assert doc["num_rows"] == ShardFile(path).chunk_rows > 0
+                                  "rows": len(_expected_rows(SHARD))}]
+    assert doc["num_rows"] == ShardFile(path).n_postings == 7
 
 
 def test_empty_shard_file(tmp_path):
@@ -195,9 +242,13 @@ def test_empty_shard_file(tmp_path):
     path = shard_file(str(tmp_path), 3)
     ShardWriter(path, *DEFAULT).close()
     sf = ShardFile(path)
-    assert sf.terms == [] and sf.chunk_rows == 0
+    assert sf.terms == [] and sf.n_postings == 0
     assert sf.read("alpha", positions=True).num_rows == 0
-    assert pa.concat_tables(chunk_rows_of_shard(path)).num_rows == 0
+    for positions in (True, False):
+        rows = _posting_rows(path, positions)
+        assert rows.num_rows == 0
+        assert rows.schema == postings_file._posting_rows_schema(positions)
+    assert shard_term_stats(path).num_rows == 0
     assert manifests.write_manifest(str(tmp_path), "postings", "fp")["num_rows"] == 0
 
 
@@ -215,20 +266,23 @@ def test_truncated_shard_raises(shard_dir, cut):
         _locator_read(shard_dir, "beta")
 
 
-def _patch_entry(path, term_index, **deltas):
+def _patch_entry(path, term_index, footer_postings=True, **deltas):
     """Add ``deltas`` (``lean``, ``pos`` bytes, ``df``) to one term's
-    term-table entry and rewrite the table and footer."""
+    term-table entry and rewrite the table and footer; the footer's posting
+    count follows the df change unless ``footer_postings`` is False."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, n, table_at, table_vb, *rest = _FOOTER.unpack(data[-_FOOTER.size:])
+    magic, n, table_at, table_vb, n_postings, *rest = _FOOTER.unpack(data[-_FOOTER.size:])
     cols = vb_decode_array(np.frombuffer(data, np.uint8, table_vb, table_at)
-                           ).astype(np.int64).reshape(4, n)
+                           ).astype(np.int64).reshape(5, n)
     for row, name in enumerate(("lean", "pos", "df")):
         cols[row, term_index] += deltas.get(name, 0)
+    if footer_postings:
+        n_postings += deltas.get("df", 0)
     table, _ = vb_encode_array(cols.ravel())
     with open(path, "wb") as f:
         f.write(data[:table_at] + table.tobytes() + data[table_at + table_vb:-_FOOTER.size]
-                + _FOOTER.pack(magic, n, table_at, len(table), *rest))
+                + _FOOTER.pack(magic, n, table_at, len(table), n_postings, *rest))
 
 
 @pytest.mark.parametrize("deltas", [{"pos": 10**6}, {"lean": 10**6}, {"pos": -1}])
@@ -256,11 +310,25 @@ def test_damaged_entry_never_serves_short_postings(shard_dir, deltas, positions)
 
 @pytest.mark.parametrize("deltas", [{"lean": -1, "pos": 1}, {"lean": 1, "pos": -1},
                                     {"df": -1}, {"df": 1}])
-@pytest.mark.parametrize("columns", [None, ["term", "n_postings", "max_tf"]])
-def test_damaged_entry_never_regenerates_chunk_rows(shard_dir, deltas, columns):
-    """Chunk-row regeneration decodes many records at once; a record that
-    does not hold its table entry still raises, naming file and term."""
+@pytest.mark.parametrize("positions", [False, True])
+def test_damaged_entry_never_yields_posting_rows(ray_session, shard_dir, deltas, positions):
+    """The index-wide reader decodes many records at once; a record that
+    does not hold its table entry still raises, naming file and term, in
+    the read task and through the Ray Dataset."""
     path = shard_file(shard_dir, 0)
     _patch_entry(path, 0, **deltas)
     with pytest.raises(DamagedShardError, match=f"{re.escape(path)}.*'alpha'"):
-        list(chunk_rows_of_shard(path, columns))
+        list(shard_posting_rows(path, positions))
+    with pytest.raises(Exception, match=f"DamagedShardError.*{re.escape(path)}.*'alpha'"):
+        read_posting_rows(shard_dir, positions).materialize()
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_footer_posting_count_checked(shard_dir, delta):
+    """A term table whose df total disagrees with the footer's posting
+    count does not open."""
+    path = shard_file(shard_dir, 0)
+    _patch_entry(path, 1, footer_postings=False, df=delta)
+    with pytest.raises(DamagedShardError, match=f"{re.escape(path)}: term table holds "
+                                                f"{7 + delta} postings, the footer 7"):
+        ShardFile(path)

@@ -474,104 +474,6 @@ class TestTopkScratchProperty:
             assert got[1].tobytes() == want[1].tobytes()
 
 
-def _decode_term_chunks_spec(chunks):
-    """The per-row decode that decode_term_chunks replaced, kept as its
-    spec: rows sorted by (salt, first_doc_id, chunk_seq), then each row's
-    doc-gap stream, tfs and per-posting position streams decoded on their
-    own with the scalar VB/delta codecs → (doc_ids, tfs, offsets, values)."""
-    from search_engine_ray.functions.vb import vb_decode_list
-
-    z = np.zeros(0, np.int64)
-    if chunks.num_rows == 0:
-        return z, z, np.zeros(1, np.int64), z
-    chunks = chunks.combine_chunks().sort_by(
-        [("salt", "ascending"), ("first_doc_id", "ascending"), ("chunk_seq", "ascending")])
-    docs, tfs, offsets, values = [], [], [0], []
-    for row in range(chunks.num_rows):
-        docs += delta_decode(vb_decode_list(chunks["doc_gaps"][row].as_py()))
-        tfs += chunks["tfs"][row].as_py()
-        pos_gaps = chunks["pos_gaps"][row].as_py()
-        start = 0
-        for n_bytes in chunks["pos_lens"][row].as_py():
-            posting = delta_decode(vb_decode_list(pos_gaps[start:start + n_bytes]))
-            start += n_bytes
-            values += posting
-            offsets.append(offsets[-1] + len(posting))
-    as64 = lambda v: np.asarray(v, np.int64)  # noqa: E731
-    return as64(docs), as64(tfs), as64(offsets), as64(values)
-
-
-@st.composite
-def _term_chunk_tables(draw):
-    """Chunk rows of one term as ``locator.read`` may return them: several
-    salts, each (term, salt) group split into fragments chunked on their own
-    (chunk_seq restarts at 0), chunk sizes down to one posting, doc and
-    position gaps past 16384 (VB bytes with interior zeros), rows shuffled
-    and cut into several record batches."""
-    import pyarrow as pa
-
-    from search_engine_ray.stages.merge import chunk_rows_from_postings
-
-    parts = []
-    for salt in draw(st.lists(st.integers(0, 5), unique=True, min_size=1, max_size=3)):
-        n = draw(st.integers(1, 40))
-        gaps = draw(st.lists(st.integers(1, 40_000), min_size=n, max_size=n))
-        doc_ids = salt * 10**7 + np.cumsum(gaps)
-        positions = [sorted(draw(st.sets(st.integers(0, 2**21), min_size=1, max_size=4)))
-                     for _ in range(n)]
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            frag = positions[lo:hi]
-            tfs = np.array([len(p) for p in frag], np.int64)
-            offs = np.zeros(len(frag) + 1, np.int64)
-            np.cumsum(tfs, out=offs[1:])
-            vals = np.array([v for p in frag for v in p], np.int64)
-            parts.append(chunk_rows_from_postings(
-                "t", salt, doc_ids[lo:hi], tfs, offs, vals,
-                draw(st.sampled_from([1, 2, 3, 128]))))
-    table = pa.concat_tables(parts)
-    table = table.take(np.array(draw(st.permutations(range(table.num_rows))), np.int64))
-    cuts = sorted(draw(st.sets(st.integers(1, max(table.num_rows - 1, 1)), max_size=3)))
-    bounds = [0, *[c for c in cuts if c < table.num_rows], table.num_rows]
-    return pa.concat_tables([table.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])])
-
-
-class TestDecodeTermChunksProperty:
-    @given(_term_chunk_tables())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_per_row_spec(self, table):
-        from search_engine_ray.query.postings_codec import decode_term_chunks
-
-        doc_ids, tfs, offsets, values = _decode_term_chunks_spec(table)
-        tp = decode_term_chunks(table)
-        for got, want in ((tp.doc_ids, doc_ids), (tp.tfs, tfs),
-                          (tp.pos_offsets, offsets), (tp.pos_values, values)):
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
-
-    @given(_term_chunk_tables())
-    @settings(max_examples=100, deadline=None)
-    def test_lean_columns_decode_doc_ids_and_tfs_only(self, table):
-        from search_engine_ray.query.postings_codec import LEAN_COLUMNS, decode_term_chunks
-
-        doc_ids, tfs, _offsets, _values = _decode_term_chunks_spec(table)
-        tp = decode_term_chunks(table.select(LEAN_COLUMNS))
-        np.testing.assert_array_equal(tp.doc_ids, doc_ids)
-        np.testing.assert_array_equal(tp.tfs, tfs)
-        assert tp.pos_offsets is None and len(tp.pos_values) == 0
-        assert tp.pos_values.dtype == np.int64
-
-    def test_empty_table(self):
-        from search_engine_ray.query.postings_codec import LEAN_COLUMNS, decode_term_chunks
-        from search_engine_ray.stages.merge import CHUNK_SCHEMA
-
-        empty = CHUNK_SCHEMA.empty_table()
-        tp = decode_term_chunks(empty)
-        assert tp.df == 0 and tp.pos_offsets.tolist() == [0] and len(tp.pos_values) == 0
-        lean = decode_term_chunks(empty.select(LEAN_COLUMNS))
-        assert lean.df == 0 and lean.pos_offsets is None and len(lean.pos_values) == 0
-
-
 # a small alphabet makes near and equal strings common; NUL and non-BMP
 # characters check the 0-padded utf-32 code matrices
 _lev_texts = st.text(

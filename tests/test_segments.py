@@ -1,7 +1,9 @@
 """Incremental segment indexing (pipelines/segments.py): append-only builds
 serve rank-identical to a monolithic rebuild, tombstones filter results, and
-compaction reproduces a fresh build value-identically (dictionary + chunk
-rows), all through the standard build/engine layers."""
+compaction reproduces a fresh build (dictionary values, postings files byte
+for byte), all through the standard build/engine layers."""
+
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -24,7 +26,7 @@ from search_engine_ray.pipelines.segments import (
 from search_engine_ray.query.engine import SearchEngine
 from search_engine_ray.query.segmented import SegmentedSearchEngine
 from search_engine_ray.sources.webpages import _url_for
-from search_engine_ray.stages.postings_file import read_chunk_rows
+from search_engine_ray.stages.postings_file import read_posting_rows, shard_files
 
 TEXTS = [
     "zero first word at position zero",
@@ -48,10 +50,11 @@ CFG = EngineConfig(chunk_size=4, salt_span=8, tokenize_batch_size=7)
 SPLIT = 13  # urls are zero-padded by index → halves preserve global order
 
 
-def _chunk_rows(postings_dir, columns=None) -> pa.Table:
-    """An index's chunk rows, regenerated from its shard files."""
-    return pa.concat_tables(ray.get(
-        read_chunk_rows(postings_dir, columns).to_arrow_refs())).combine_chunks()
+def _posting_rows(postings_dir) -> pa.Table:
+    """An index's posting rows, decoded from its shard files, with the
+    term as a plain string column."""
+    t = pa.concat_tables(ray.get(read_posting_rows(postings_dir).to_arrow_refs()))
+    return t.set_column(0, "term", t["term"].cast(pa.string()))
 
 
 def _pages(texts, start):
@@ -265,16 +268,18 @@ class TestCompaction:
         da = pq.read_table(a.dictionary, columns=["term", "term_id", "df"]).sort_by("term")
         db = pq.read_table(b.dictionary, columns=["term", "term_id", "df"]).sort_by("term")
         assert da.equals(db)
-        cols = ["term", "salt", "chunk_seq", "n_postings", "max_tf",
-                "first_doc_id", "max_doc_id", "doc_gaps", "tfs", "pos_lens",
-                "pos_gaps"]
-        key = [("term", "ascending"), ("salt", "ascending"),
-               ("first_doc_id", "ascending"), ("chunk_seq", "ascending")]
-        pa_ = _chunk_rows(a.postings, cols).sort_by(key)
-        pb_ = _chunk_rows(b.postings, cols).sort_by(key)
-        assert pa_.equals(pb_)
+        fa, fb = shard_files(a.postings), shard_files(b.postings)
+        assert [os.path.relpath(f, a.postings) for f in fa] == [
+            os.path.relpath(f, b.postings) for f in fb]
+        for x, y in zip(fa, fb):
+            with open(x, "rb") as f1, open(y, "rb") as f2:
+                assert f1.read() == f2.read(), x
         assert load_stats(seg_dir)["num_docs"] == load_stats(full_dir)["num_docs"]
         assert load_stats(seg_dir)["avgdl"] == load_stats(full_dir)["avgdl"]
+
+    def test_posting_rows_equal_engine_postings(self, compacted,
+                                                assert_posting_rows_match_engine):
+        assert_posting_rows_match_engine(compacted[1], CFG)
 
     def test_compacted_serves_identically(self, compacted, built):
         root, _seg_dir = compacted
@@ -292,6 +297,25 @@ class TestCompaction:
         seg = SegmentedSearchEngine(root, CFG)
         docs = seg.boolean_and("appended")
         np.testing.assert_array_equal(docs, [len(TEXTS) + 1])
+
+
+def test_index_stats_counts_chunks_per_salt(built, monkeypatch):
+    """The ``index_stats`` contract query on an index whose doc ids span
+    several salts (salt_span 8, chunk_size 4) decodes doc ids and equals
+    per-term counts from the engine's postings."""
+    from search_engine_ray.pipelines import driver_queries
+
+    full, _seg, _root, full_dir = built
+    monkeypatch.setattr(driver_queries, "engine_for", lambda _sf_dir: full)
+    got = driver_queries.q_index_stats(full_dir)
+    want = []
+    for t in full.vocabulary()[0]:
+        tp = full.get_postings(t, positions=False)
+        _salts, n = np.unique(tp.doc_ids // CFG.salt_span, return_counts=True)
+        want.append([t, tp.df, int(tp.tfs.max()), int((-(-n // CFG.chunk_size)).sum())])
+    assert got[["term", "n_postings", "max_tf", "n_chunks"]].values.tolist() == want
+    # a term needs more chunks than one salt would give it
+    assert (got["n_chunks"] > -(-got["n_postings"] // CFG.chunk_size)).any()
 
 
 class TestCompactWithDeletes:
@@ -717,22 +741,20 @@ class TestModesGainedBySegments:
             assert seg.prefix_search(p, 5) == full.prefix_search(p, 5)
 
     def test_index_access(self, engines):
-        from search_engine_ray.query.postings_codec import decode_term_chunks
-
         full, seg = engines
         assert seg.num_terms == full.num_terms
         assert seg.vocabulary()[0] == full.vocabulary()[0]
         np.testing.assert_array_equal(seg.vocabulary()[1], full.vocabulary()[1])
-        seg_rows = pa.concat_tables([_chunk_rows(e.paths.postings) for e in seg.engines])
-        full_rows = _chunk_rows(full.paths.postings)
+        seg_rows = pa.concat_tables([_posting_rows(e.paths.postings) for e in seg.engines])
+        full_rows = _posting_rows(full.paths.postings)
         for t in ("common", "alpha", "filler", "nonexistentterm"):
             assert seg.lookup(t) == full.lookup(t)
-            chunks = seg_rows.filter(pc.equal(seg_rows["term"], t))
-            if chunks.num_rows == 0:
+            rows = seg_rows.filter(pc.equal(seg_rows["term"], t))
+            if rows.num_rows == 0:
                 assert full.lookup(t) is None
                 assert not pc.any(pc.equal(full_rows["term"], t)).as_py()
                 continue
-            np.testing.assert_array_equal(decode_term_chunks(chunks).doc_ids,
+            np.testing.assert_array_equal(np.sort(rows["doc_id"].to_numpy()),
                                           full.get_postings(t).doc_ids)
         ids = [1, 13, 14, 30]
         assert seg.doc_urls(ids) == full.doc_urls(ids)
