@@ -18,11 +18,11 @@ DuckDB oracle can reproduce it exactly.
 
 Top-k (:func:`topk_docs`) has one contract and two kernels. The stateless
 one sorts the query's (doc, score) pairs by doc id and is the spec. The
-term-at-a-time one (the reference's per-doc accumulators) adds each
-ascending per-term run into a dense per-doc buffer an engine owns
-(:class:`TopkScratch`), once a query brings enough pairs to amortize its
-per-run numpy calls; it needs doc ids ≥ 0 and returns bit-identical
-results.
+term-at-a-time one (the reference's per-doc accumulators) adds every pair
+into a dense per-doc buffer an engine owns (:class:`TopkScratch`) with one
+``np.add.at``, once a query brings enough pairs to amortize the buffer; on
+dense input it then finds the touched docs with one scan of a per-doc mask.
+It needs doc ids ≥ 0 and returns bit-identical results.
 """
 
 from __future__ import annotations
@@ -65,9 +65,15 @@ def bm25_weights(
 
 
 #: fewest (doc, score) pairs for which topk_docs takes a scratch's dense
-#: path: it pays a few numpy calls per run, so below about this many pairs
-#: (measured crossover 2–3k on 2–8 runs) the one-sort kernel is faster
+#: path. Below it the one-sort kernel is faster: on 2–8 ascending runs the
+#: crossover is ~1k pairs on a 6k-doc scratch (mask scan), ~3k at 100k docs
+#: and above 5k at 1M (per-run collection, where ``np.add.at`` misses cache)
 _DENSE_MIN_PAIRS = 2048
+#: TopkScratch.accumulate finds its touched docs by one scan of the whole
+#: ``seen`` mask once pairs × this ≥ the buffer's length, and per run
+#: below. The mask scan wins on every input at 6k docs; its crossover is
+#: at pairs ≈ 0.4 × docs at 100k and ≈ 0.2 × docs at 1M
+_DENSE_MASK_RATIO = 4
 
 
 class TopkScratch:
@@ -87,22 +93,29 @@ class TopkScratch:
 
     def accumulate(self, doc_ids: np.ndarray, scores: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """(each distinct doc id once, in first-seen order; its summed score)
-        over unaggregated (doc, score) pairs. Each doc is summed
-        0 + w₁ + w₂ … in ``scores.dtype`` and in input order.
+        """(each distinct doc id once; its summed score) over unaggregated
+        (doc, score) pairs. Each doc is summed 0 + w₁ + w₂ … in
+        ``scores.dtype`` and in input order.
 
-        Doc ids must be ≥ 0. The input is cut where ids stop strictly
-        ascending, and each run is added with one ``acc[ids] += w`` (ids in
-        a strictly ascending run are distinct, so no add is lost). The cost
-        is O(pairs) plus a few numpy calls per run: per-term ascending
-        lists, as every engine passes, make few runs."""
+        Doc ids must be ≥ 0, in any order, duplicates allowed. One
+        ``np.add.at`` adds every pair into the dense accumulator (it applies
+        the pairs one at a time in input order, so duplicates are not lost).
+        The touched docs come out in one of two orders:
+
+        * dense input (pairs ≥ 1/``_DENSE_MASK_RATIO`` of the buffer's
+          length): ascending doc id, from ``seen[doc_ids] = True`` and one
+          scan of the mask; both buffers are then reset with a whole-buffer
+          fill;
+        * sparse input: first-seen order, collected per strictly ascending
+          run (a few numpy calls per run; per-term ascending lists, as every
+          engine passes, make few runs) and reset entry by entry, so the
+          cost stays O(pairs) on a large buffer."""
         n = len(doc_ids)
         if n == 0:
             return doc_ids[:0], scores[:0]
-        cuts = np.flatnonzero(doc_ids[1:] <= doc_ids[:-1]) + 1
-        if doc_ids[np.append(0, cuts)].min() < 0:  # run starts are run minima
+        if doc_ids.min() < 0:  # np.add.at would wrap a negative id
             raise ValueError("TopkScratch needs doc ids >= 0")
-        need = int(doc_ids[np.append(cuts - 1, n - 1)].max()) + 1  # run ends
+        need = int(doc_ids.max()) + 1
         if need > len(self.seen):
             self.seen = np.zeros(max(need, self._size), bool)
             self._acc.clear()
@@ -110,6 +123,15 @@ class TopkScratch:
         acc = self._acc.get(scores.dtype)
         if acc is None:
             acc = self._acc[scores.dtype] = np.zeros(len(seen), scores.dtype)
+        np.add.at(acc, doc_ids, scores)
+        if n * _DENSE_MASK_RATIO >= len(seen):
+            seen[doc_ids] = True
+            uniq = np.flatnonzero(seen).astype(doc_ids.dtype, copy=False)
+            sums = acc[uniq]
+            acc.fill(0)
+            seen.fill(False)
+            return uniq, sums
+        cuts = np.flatnonzero(doc_ids[1:] <= doc_ids[:-1]) + 1
         bounds = [0, *cuts.tolist(), n]
         fresh = []
         for a, b in zip(bounds, bounds[1:]):
@@ -117,7 +139,6 @@ class TopkScratch:
             new = ids[~seen[ids]]
             seen[new] = True
             fresh.append(new)
-            acc[ids] += scores[a:b]
         uniq = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
         sums = acc[uniq]
         acc[uniq] = 0
@@ -145,13 +166,12 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
     entries in input order (doc ids arriving as a few ascending runs make
     it a run merge) and ``np.add.at`` sums them. With an engine-owned
     :class:`TopkScratch` (doc ids ≥ 0) and at least ``_DENSE_MIN_PAIRS``
-    pairs: the term-at-a-time path — each strictly ascending run of doc
-    ids adds straight into a dense per-doc array
-    (:meth:`TopkScratch.accumulate`), with no sort. Both sum every doc
-    0 + w₁ + w₂ … in input order, so they return bit-identical results,
-    ties and NaN included. Either way the k-th score is found by
-    ``np.partition`` and only docs scoring at least that are fully
-    sorted."""
+    pairs: the term-at-a-time path — one ``np.add.at`` adds every pair
+    straight into a dense per-doc array (:meth:`TopkScratch.accumulate`),
+    with no sort. Both sum every doc 0 + w₁ + w₂ … in input order, so they
+    return bit-identical results, ties and NaN included. Either way the
+    k-th score is found by ``np.partition`` and only docs scoring at least
+    that are fully sorted."""
     if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
     if scratch is not None and len(doc_ids) >= _DENSE_MIN_PAIRS:

@@ -409,29 +409,57 @@ def shard_files(postings_dir: str) -> list[str]:
 #: payload bytes decoded together by the index-wide readers: bounds a read
 #: task's temporaries (a few bytes each per payload byte)
 _BATCH_BYTES = 8 << 20
+#: a lean read skips the position bytes between two records' lean parts
+#: from this many on, and reads through shorter gaps (one pread instead of
+#: two)
+_LEAN_GAP_BYTES = 4 << 10
 
 
-def _record_batches(sf: ShardFile):
+def _record_batches(sf: ShardFile, positions: bool):
     """Consecutive record ranges ``(lo, hi)`` of ``sf``, each ~``_BATCH_BYTES``
-    of payload (at least one record)."""
-    ends = np.cumsum(sf.nbytes)
+    of the bytes a read decodes — whole records when ``positions``, their
+    lean parts otherwise — and at least one record."""
+    ends = np.cumsum(sf.nbytes if positions else sf.lean)
     lo = 0
     while lo < len(sf.terms):
-        hi = max(lo + 1, int(np.searchsorted(ends, int(sf.offsets[lo]) + _BATCH_BYTES, "right")))
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BATCH_BYTES, "right")))
         yield lo, hi
         lo = hi
 
 
+def _read_lean(sf: ShardFile, lo: int, hi: int) -> np.ndarray:
+    """The lean parts of records ``lo:hi`` of ``sf``, back to back: one
+    pread per group of records whose lean parts lie less than
+    ``_LEAN_GAP_BYTES`` of position bytes apart."""
+    off, lean, nb = sf.offsets[lo:hi], sf.lean[lo:hi], sf.nbytes[lo:hi]
+    is_first = np.ones(len(off), bool)
+    is_first[1:] = (nb - lean)[:-1] >= _LEAN_GAP_BYTES
+    first = np.flatnonzero(is_first)
+    last = np.append(first[1:], len(off)) - 1
+    g_off, g_end = off[first], off[last] + lean[last]
+    span = np.frombuffer(b"".join(
+        sf.pread(a, b - a, sf.terms[lo + i])
+        for i, a, b in zip(first.tolist(), g_off.tolist(), g_end.tolist())), np.uint8)
+    g_at = np.zeros(len(first), np.int64)  # each group's start in ``span``
+    np.cumsum((g_end - g_off)[:-1], out=g_at[1:])
+    grp = np.cumsum(is_first) - 1
+    at = g_at[grp] + off - g_off[grp]  # each lean part's start in ``span``
+    lb = np.zeros(len(lean) + 1, np.int64)
+    np.cumsum(lean, out=lb[1:])
+    return span[np.arange(lb[-1]) + np.repeat(at - lb[:-1], lean)]
+
+
 def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
-    """Records ``lo:hi`` of ``sf`` decoded together from one read of their
-    byte range → (doc_ids, tfs, pos_bytes, pos_bounds). One VB decode
-    covers every lean part; position bytes are only sliced per posting
-    (posting i's ``pos_enc`` is ``pos_bytes[pos_bounds[i]:pos_bounds[i+1]]``;
-    both None unless ``positions``). Raises, naming the file and the
-    first term at fault, when a record does not hold its table entry."""
+    """Records ``lo:hi`` of ``sf`` decoded together → (doc_ids, tfs,
+    pos_bytes, pos_bounds): with ``positions`` from one read of their byte
+    range, otherwise from their lean parts alone (:func:`_read_lean`). One
+    VB decode covers every lean part; position bytes are only sliced per
+    posting (posting i's ``pos_enc`` is
+    ``pos_bytes[pos_bounds[i]:pos_bounds[i+1]]``; both None unless
+    ``positions``). Raises, naming the file and the first term at fault,
+    when a record does not hold its table entry."""
     off, lean, nb, df = sf.offsets[lo:hi], sf.lean[lo:hi], sf.nbytes[lo:hi], sf.df[lo:hi]
-    base = int(off[0])
-    span = np.frombuffer(sf.pread(base, int(off[-1] + nb[-1]) - base, sf.terms[lo]), np.uint8)
 
     def damaged(bad: np.ndarray, what: str) -> DamagedShardError:
         i = int(np.flatnonzero(bad)[0])
@@ -440,14 +468,17 @@ def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
     lb = np.zeros(len(lean) + 1, np.int64)
     np.cumsum(lean, out=lb[1:])
     if positions:
+        base = int(off[0])
+        span = np.frombuffer(sf.pread(base, int(off[-1] + nb[-1]) - base, sf.terms[lo]),
+                             np.uint8)
         # lean bytes = [off, off + lean) of each record: +1/-1 marks, cumsum
         mark = np.zeros(len(span) + 1, np.int8)
         np.add.at(mark, off - base, 1)
         np.add.at(mark, off - base + lean, -1)
         in_lean = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
         lean_bytes = span[in_lean]
-    else:  # gather the lean spans only
-        lean_bytes = span[np.arange(lb[-1]) + np.repeat(off - base - lb[:-1], lean)]
+    else:
+        lean_bytes = _read_lean(sf, lo, hi)
     # a batch's bytes fit int32 (_BATCH_BYTES, or one record of < 2 GiB)
     term_at = np.zeros(len(lean_bytes) + 1, np.int32 if len(lean_bytes) < 2**31 else np.int64)
     np.cumsum(lean_bytes >= 128, dtype=term_at.dtype, out=term_at[1:])
@@ -512,7 +543,7 @@ def shard_posting_rows(path: str, positions: bool):
     try:
         if not sf.terms:
             yield _posting_rows_schema(positions).empty_table()
-        for lo, hi in _record_batches(sf):
+        for lo, hi in _record_batches(sf, positions):
             doc_ids, tfs, pos_bytes, pos_bounds = _decode_records(sf, lo, hi, positions)
             df = sf.df[lo:hi]
             cols = [pa.DictionaryArray.from_arrays(
@@ -578,7 +609,7 @@ def shard_term_stats(path: str) -> pa.Table:
             n_chunks = np.concatenate([
                 _chunks_per_term(_decode_records(sf, lo, hi, False)[0] // span,
                                  sf.df[lo:hi], size)
-                for lo, hi in _record_batches(sf)])
+                for lo, hi in _record_batches(sf, False)])
         return pa.table({"term": pa.array(sf.terms, pa.string()),
                          "n_postings": pa.array(sf.df, pa.int64()),
                          "max_tf": pa.array(sf.max_tf, pa.int64()),

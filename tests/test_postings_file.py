@@ -211,6 +211,41 @@ def test_posting_rows_batched_equal_one_batch(tmp_path_factory, shard):
     assert stats.equals(shard_term_stats(path))
 
 
+@settings(max_examples=15, deadline=None)
+@given(shard=shards())
+def test_lean_rows_read_only_lean_parts(tmp_path_factory, shard):
+    """Lean posting rows and term stats read back exactly whether a lean
+    read skips every gap of position bytes, only the long ones or none, a
+    record or the whole shard per batch; skipping every gap preads the
+    lean parts and nothing else, skipping none one span per batch."""
+    path = str(tmp_path_factory.mktemp("lean") / "shard=0" / "postings.bin")
+    _write(path, shard, *TINY)
+    sf = ShardFile(path)
+    lean_nbytes, payload_nbytes = int(sf.lean.sum()), int(sf.nbytes.sum())
+    sf.close()
+    want_stats = shard_term_stats(path)
+    pread = ShardFile.pread
+    for gap in (1, 4 << 10, 1 << 40):
+        for batch in (1, 8 << 20):
+            read = []
+
+            def counted(self, off, n, term):
+                read.append(n)
+                return pread(self, off, n, term)
+
+            with mock.patch.object(postings_file, "_LEAN_GAP_BYTES", gap), \
+                    mock.patch.object(postings_file, "_BATCH_BYTES", batch):
+                with mock.patch.object(ShardFile, "pread", counted):
+                    rows = _posting_rows(path, False)
+                assert shard_term_stats(path).equals(want_stats)
+            assert rows.to_pylist() == _expected_rows(shard, False)
+            assert lean_nbytes <= sum(read) < payload_nbytes  # never the last positions
+            if gap == 1:
+                assert sum(read) == lean_nbytes and len(read) == len(shard)
+            elif gap == 1 << 40:
+                assert len(read) == (len(shard) if batch == 1 else 1)
+
+
 @pytest.fixture()
 def shard_dir(tmp_path):
     d = str(tmp_path / "postings")

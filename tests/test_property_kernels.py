@@ -345,27 +345,47 @@ def _dense_always():
     return mock.patch.object(scoring, "_DENSE_MIN_PAIRS", 0)
 
 
-def _assert_scratch_matches_stateless(scratch, doc_ids, scores, k):
-    """The scratch path of topk_docs equals the stateless one bit for bit,
-    and leaves every buffer of the scratch clean."""
-    from search_engine_ray.query.scoring import topk_docs
+def _touched_by(path):
+    """Forces how TopkScratch.accumulate finds its touched docs: "mask" scans
+    the whole ``seen`` mask, "runs" collects them per ascending run, None
+    keeps the shipped density cut."""
+    import contextlib
+    from unittest import mock
 
-    with _dense_always():
-        got_ids, got_sc = topk_docs(doc_ids, scores, k, scratch=scratch)
-    want_ids, want_sc = topk_docs(doc_ids, scores, k)
-    assert got_ids.dtype == want_ids.dtype and got_sc.dtype == want_sc.dtype
-    np.testing.assert_array_equal(got_ids, want_ids)
-    assert got_sc.tobytes() == want_sc.tobytes(), (got_sc, want_sc)
+    from search_engine_ray.query import scoring
+
+    if path is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(scoring, "_DENSE_MASK_RATIO", 1 << 62 if path == "mask" else 0)
+
+
+def _assert_scratch_clean(scratch):
     assert not scratch.seen.any()
     for acc in scratch._acc.values():
         assert len(acc) == len(scratch.seen)
         assert acc.tobytes() == bytes(acc.nbytes)  # +0.0 everywhere
 
 
-_any_scores = st.one_of(_tie_scores, _wide_scores, st.just(float("nan")))
+def _assert_scratch_matches_stateless(scratch, doc_ids, scores, k, path=None):
+    """The scratch path of topk_docs equals the stateless one bit for bit,
+    and leaves every buffer of the scratch clean."""
+    from search_engine_ray.query.scoring import topk_docs
+
+    with _dense_always(), _touched_by(path):
+        got_ids, got_sc = topk_docs(doc_ids, scores, k, scratch=scratch)
+    want_ids, want_sc = topk_docs(doc_ids, scores, k)
+    assert got_ids.dtype == want_ids.dtype and got_sc.dtype == want_sc.dtype
+    np.testing.assert_array_equal(got_ids, want_ids)
+    assert got_sc.tobytes() == want_sc.tobytes(), (got_sc, want_sc)
+    _assert_scratch_clean(scratch)
+
+
+_any_scores = st.one_of(_tie_scores, _wide_scores, st.sampled_from([0.0, -0.0]),
+                        st.just(float("nan")))
 # one topk_docs call: per-term ascending runs (duplicates across runs) or
 # unsorted pairs (many runs, adjacent repeats), ids from 0 up past the
-# scratch's first size
+# scratch's first size; a spread of 80 scales the ids up to 4,800, so the
+# same few pairs make a sparse input
 _runs_call = st.tuples(
     st.just("runs"),
     st.lists(st.lists(st.integers(0, 60), unique=True, max_size=25), max_size=8))
@@ -376,26 +396,32 @@ class TestTopkScratchProperty:
     """topk_docs with an engine-owned TopkScratch vs the stateless kernel
     (the spec, itself checked against the add.at spec above)."""
 
-    @given(st.integers(0, 70),
+    @given(st.one_of(st.integers(0, 70), st.integers(500, 3000)),
            st.lists(st.tuples(st.one_of(_runs_call, _pairs_call),
+                              st.sampled_from([1, 80]),
                               st.sampled_from([np.float32, np.float64]),
-                              st.integers(0, 70)),
+                              st.integers(0, 70),
+                              st.sampled_from([None, "mask", "runs"])),
                     min_size=1, max_size=5),
            st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_reused_scratch_matches_stateless(self, size, calls, data):
         """One scratch, sized ``size`` and grown on demand, across several
-        calls of either dtype."""
+        calls of either dtype, on both sides of accumulate's density cut:
+        at the shipped cut (a small scratch and small ids make dense
+        inputs, a large one or spread ids sparse ones) or with a side
+        forced."""
         from search_engine_ray.query.scoring import TopkScratch
 
         scratch = TopkScratch(size)
-        for (kind, raw), dtype, k in calls:
+        for (kind, raw), spread, dtype, k, path in calls:
             if kind == "runs":
                 ids = np.array([d for run in raw for d in sorted(run)], np.int64)
             else:
                 ids = np.array(raw, np.int64)
+            ids *= spread
             sc = data.draw(st.lists(_any_scores, min_size=len(ids), max_size=len(ids)))
-            _assert_scratch_matches_stateless(scratch, ids, np.array(sc, dtype), k)
+            _assert_scratch_matches_stateless(scratch, ids, np.array(sc, dtype), k, path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_edges(self, dtype):
@@ -446,14 +472,27 @@ class TestTopkScratchProperty:
         ids = np.array([4, 9, 2, 4, 9, 9], np.int64)
         sc = np.array([1.0, 2.0, 3.0, 0.5, 0.25, 0.125])
         uniq, sums = TopkScratch(3).accumulate(ids, sc)
-        assert uniq.tolist() == [4, 9, 2]  # first-seen order
+        assert uniq.tolist() == [2, 4, 9]  # dense input: ascending doc ids
+        assert sums.tolist() == [3.0, 1.5, 2.375]
+        # the same pairs on a large scratch are sparse: first-seen order
+        scratch = TopkScratch(1000)
+        uniq, sums = scratch.accumulate(ids, sc)
+        assert uniq.tolist() == [4, 9, 2]
         assert sums.tolist() == [1.5, 2.375, 3.0]
+        _assert_scratch_clean(scratch)
 
     def test_negative_doc_ids_are_refused(self):
-        from search_engine_ray.query.scoring import TopkScratch
+        from search_engine_ray.query.scoring import TopkScratch, topk_docs
 
-        with pytest.raises(ValueError):
-            TopkScratch().accumulate(np.array([3, -1]), np.array([1.0, 2.0]))
+        for size in (0, 1000):  # dense input, sparse input
+            scratch = TopkScratch(size)
+            scratch.accumulate(np.array([1, 2]), np.array([1.0, 2.0]))  # allocate
+            for ids in (np.array([3, -1]), np.array([-1, 0, 5])):
+                with pytest.raises(ValueError):
+                    scratch.accumulate(ids, np.ones(len(ids)))
+                with _dense_always(), pytest.raises(ValueError):
+                    topk_docs(ids, np.ones(len(ids)), 2, scratch=scratch)
+            _assert_scratch_clean(scratch)  # nothing was added before the refusal
 
     def test_dense_path_from_its_input_size_on(self):
         """Small inputs take the one-sort kernel and leave the scratch

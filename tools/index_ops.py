@@ -15,10 +15,17 @@ runs:
   first and second halves, each built with ``add_segment``), each repeat on
   a fresh copy of the root.
 
+It also makes one lean pass (``shard_posting_rows(path, positions=False)``,
+what ``cosine_norms``' read tasks run) over every shard file in this
+process and reports ``lean_pass_s``, the payload bytes its preads return
+(``lean_read_mb``), the lean parts it decodes (``lean_mb``) and every
+record's bytes (``payload_mb``).
+
 Each result is checked against the index: one stats row per dictionary
 term with the postings summing to the dictionary's df total, one norm per
-doc, and a compacted segment holding every doc. Prints one JSON object
-(also written to ``--out``); compare runs only on the same host.
+doc, a lean pass yielding every posting, and a compacted segment holding
+every doc. Prints one JSON object (also written to ``--out``); compare
+runs only on the same host.
 """
 
 from __future__ import annotations
@@ -45,6 +52,34 @@ def _timed(fn, repeats: int):
         out = fn()
         runs.append(round(perf() - t, 3))
     return min(runs), runs, out
+
+
+def lean_pass(postings_dir: str) -> dict:
+    """One in-process lean read of every shard file, its preads counted."""
+    from unittest import mock
+
+    from search_engine_ray.stages import postings_file as pf
+
+    paths = pf.shard_files(postings_dir)
+    pread = pf.ShardFile.pread
+    read = [0]
+
+    def counted(sf, off, n, term):
+        read[0] += n
+        return pread(sf, off, n, term)
+
+    t = perf()
+    with mock.patch.object(pf.ShardFile, "pread", counted):
+        postings = sum(b.num_rows for p in paths for b in pf.shard_posting_rows(p, False))
+    took = perf() - t
+    lean = payload = 0
+    for p in paths:
+        sf = pf.ShardFile(p)
+        lean, payload = lean + int(sf.lean.sum()), payload + int(sf.nbytes.sum())
+        sf.close()
+    return {"lean_pass_s": round(took, 3), "postings": postings,
+            "lean_read_mb": round(read[0] / 1e6, 2), "lean_mb": round(lean / 1e6, 2),
+            "payload_mb": round(payload / 1e6, 2)}
 
 
 def run(n_docs: int, seed: int, repeats: int, work: str) -> dict:
@@ -85,6 +120,9 @@ def run(n_docs: int, seed: int, repeats: int, work: str) -> dict:
         dic = pq.read_table(IndexPaths(index_dir).dictionary, columns=["df"])
         n_terms, n_postings = dic.num_rows, int(dic["df"].to_numpy().sum())
 
+        lean = lean_pass(IndexPaths(index_dir).postings)
+        assert lean.pop("postings") == n_postings
+
         config = EngineConfig()
         driver_queries._ENGINES[(index_dir, config)] = SearchEngine(index_dir, config)
         stats_s, stats_runs, stats = _timed(
@@ -110,7 +148,7 @@ def run(n_docs: int, seed: int, repeats: int, work: str) -> dict:
     finally:
         ray.shutdown()
     return {"docs": n_docs, "terms": n_terms, "postings": n_postings,
-            "build_s": round(build_s, 1), "repeats": repeats,
+            "build_s": round(build_s, 1), "repeats": repeats, **lean,
             "index_stats_s": stats_s, "index_stats_runs": stats_runs,
             "cosine_norms_s": norms_s, "cosine_norms_runs": norms_runs,
             "compact_s": min(runs), "compact_runs": runs}

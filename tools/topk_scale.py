@@ -5,13 +5,24 @@
 
 Part 1 (always): synthetic Zipf postings. For each size N, a term of Zipf
 rank r (s = 1.1 over a vocabulary of max(4000, N/30) words, 150 tokens per
-doc) gets df = N·(1 − (1 − p_r)^150) docs drawn uniformly; queries take
-2–8 distinct terms Zipf-weighted from the 500 highest-df terms, like
-perfbench's ``query_head``. Each query's per-term (ascending doc ids,
-float64 weights) runs are concatenated and ranked top-10 by
-``scoring.topk_docs`` without a scratch (the stateless spec) and with one
-``TopkScratch`` reused across queries, alternating per query; both results
-must be bit-identical.
+doc) gets df = N·(1 − (1 − p_r)^150) docs drawn uniformly. Two query sets
+take 2–8 distinct terms each:
+
+* ``head``: Zipf-weighted from the 500 highest-df terms, like perfbench's
+  ``query_head`` — dense input, several candidates per doc;
+* ``wide``: uniformly over the whole vocabulary, like ``query_wide`` —
+  sparse input, far fewer candidates than docs.
+
+Each query's per-term (ascending doc ids, float64 weights) runs are
+concatenated and ranked top-10 by ``scoring.topk_docs`` without a scratch
+(the stateless spec) and with one ``TopkScratch`` reused across queries,
+alternating per query; both results must be bit-identical, and so must
+they be for the same weights cast to float32 (the ``tfidf32`` scores).
+``mask_ms`` and ``runs_ms`` time ``TopkScratch.accumulate`` with each of
+its two ways of finding the touched docs forced, whatever the input's
+density, each in a pass of its own over the same queries: they place the
+cut between them. ``mask_share`` is the share of queries that the shipped
+cut sends down the mask path.
 
 Part 2 (``--index-docs N``): builds an N-doc index from perfbench's seeded
 Zipf corpus under ``ray.init(num_cpus=1)`` and times ``bm25_topk`` (dense
@@ -37,12 +48,14 @@ import statistics
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
+from search_engine_ray.query import scoring  # noqa: E402
 from search_engine_ray.query.scoring import TopkScratch, topk_docs  # noqa: E402
 
 perf = time.perf_counter
@@ -53,14 +66,16 @@ QUERY_TERMS = (2, 8)
 K = 10
 
 
-def synthetic_queries(n_docs: int, n_queries: int, seed: int):
-    """[(doc_ids, scores)] per query: per-term ascending runs concatenated."""
-    rng = np.random.default_rng(seed)
+def synthetic_queries(n_docs: int, n_queries: int, kind: str, seed: int):
+    """Yields (doc_ids, scores) per query: per-term ascending runs
+    concatenated. One query's arrays live at a time."""
+    rng = np.random.default_rng([seed, 1 if kind == "head" else 2])
     vocab = max(4000, n_docs // 30)
     p = np.arange(1, vocab + 1, dtype=np.float64) ** -ZIPF_S
     p /= p.sum()
-    df = np.maximum(1, np.rint(n_docs * -np.expm1(TOKENS_PER_DOC * np.log1p(-p[:HEAD_POOL]))))
-    pick_p = p[:HEAD_POOL] / p[:HEAD_POOL].sum()
+    df = np.maximum(1, np.rint(n_docs * -np.expm1(TOKENS_PER_DOC * np.log1p(-p))))
+    pool = HEAD_POOL if kind == "head" else vocab
+    pick_p = p[:HEAD_POOL] / p[:HEAD_POOL].sum() if kind == "head" else None
     postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def term(r: int):
@@ -69,33 +84,56 @@ def synthetic_queries(n_docs: int, n_queries: int, seed: int):
             postings[r] = (ids, rng.random(len(ids)) * 8.0)
         return postings[r]
 
-    out = []
     for _ in range(n_queries):
         n_terms = int(rng.integers(QUERY_TERMS[0], QUERY_TERMS[1] + 1))
-        runs = [term(int(r)) for r in rng.choice(HEAD_POOL, n_terms, replace=False, p=pick_p)]
-        out.append((np.concatenate([d for d, _ in runs]), np.concatenate([w for _, w in runs])))
-    return out
+        runs = [term(int(r)) for r in rng.choice(pool, n_terms, replace=False, p=pick_p)]
+        yield np.concatenate([d for d, _ in runs]), np.concatenate([w for _, w in runs])
 
 
-def time_kernels(n_docs: int, seed: int) -> dict:
-    n_queries = max(30, min(400, 2_000_000 // n_docs))
-    queries = synthetic_queries(n_docs, n_queries, seed)
+def _ms(fn) -> float:
+    t = perf()
+    fn()
+    return 1e3 * (perf() - t)
+
+
+def _same(got, want) -> bool:
+    return (got[0].dtype == want[0].dtype and got[0].tolist() == want[0].tolist()
+            and got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes())
+
+
+def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
+    # wide queries are cheap at every size
+    n_queries = 400 if kind == "wide" else max(30, min(400, 2_000_000 // n_docs))
     scratch = TopkScratch(n_docs + 1)
-    stateless, dense = [], []
-    for ids, sc in queries:
-        t0 = perf()
-        want = topk_docs(ids, sc, K)
-        t1 = perf()
-        got = topk_docs(ids, sc, K, scratch=scratch)
-        t2 = perf()
-        assert got[0].tolist() == want[0].tolist() and got[1].tobytes() == want[1].tobytes()
-        stateless.append(1e3 * (t1 - t0))
-        dense.append(1e3 * (t2 - t1))
-    a, b = statistics.median(stateless), statistics.median(dense)
-    return {"docs": n_docs, "queries": n_queries,
-            "candidates_per_q": round(statistics.mean(len(q[0]) for q in queries)),
-            "stateless_ms": round(a, 4), "scratch_ms": round(b, 4),
-            "speedup": round(a / b, 2)}
+
+    def queries():
+        return synthetic_queries(n_docs, n_queries, kind, seed)
+
+    times: dict[str, list[float]] = {"stateless": [], "scratch": []}
+    pairs, on_mask = [], 0
+    for ids, sc in queries():
+        for w in (sc.astype(np.float32), sc):  # tfidf32-typed scores, then bm25's
+            want = topk_docs(ids, w, K)
+            got = topk_docs(ids, w, K, scratch=scratch)
+            assert _same(got, want), (n_docs, kind, w.dtype)
+        pairs.append(len(ids))
+        on_mask += len(ids) >= scoring._DENSE_MIN_PAIRS and \
+            len(ids) * scoring._DENSE_MASK_RATIO >= len(scratch.seen)
+        times["stateless"].append(_ms(lambda: topk_docs(ids, sc, K)))
+        times["scratch"].append(_ms(lambda: topk_docs(ids, sc, K, scratch=scratch)))
+    # one pass per forced path, so neither runs on the caches the other left
+    for path, ratio in (("runs", 0), ("mask", len(scratch.seen))):
+        with mock.patch.object(scoring, "_DENSE_MASK_RATIO", ratio):
+            times[path] = [_ms(lambda: scratch.accumulate(ids, sc)) for ids, sc in queries()]
+    med = {k: statistics.median(v) for k, v in times.items()}
+    return {"docs": n_docs, "queries": kind, "n_queries": n_queries,
+            "candidates_per_q": round(statistics.mean(pairs)),
+            "mask_share": round(on_mask / n_queries, 2),
+            "stateless_ms": round(med["stateless"], 4),
+            "scratch_ms": round(med["scratch"], 4),
+            "scratch_p99_ms": round(float(np.percentile(times["scratch"], 99)), 4),
+            "speedup": round(med["stateless"] / med["scratch"], 2),
+            "mask_ms": round(med["mask"], 4), "runs_ms": round(med["runs"], 4)}
 
 
 def time_index(n_docs: int, seed: int) -> dict:
@@ -163,7 +201,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    res = {"kernels": [time_kernels(int(n), args.seed) for n in args.sizes.split(",")]}
+    res = {"kernels": [time_kernels(int(n), kind, args.seed)
+                       for n in args.sizes.split(",") for kind in ("head", "wide")]}
     if args.index_docs:
         res["index"] = time_index(args.index_docs, args.seed)
     line = json.dumps(res)
