@@ -39,6 +39,7 @@ def mix64(x: np.ndarray) -> np.ndarray:
 
 
 _POLY_P = _U64(1099511628211)  # FNV-ish odd multiplier (mod 2^64)
+_POLY_P_INT = int(_POLY_P)  # the same, as the scalar spec's Python int
 
 
 def poly_hash_str(s: str) -> int:
@@ -49,7 +50,7 @@ def poly_hash_str(s: str) -> int:
     b = s.encode("utf-8")
     acc = 0
     for byte in b:
-        acc = (acc * int(_POLY_P) + byte) & M
+        acc = (acc * _POLY_P_INT + byte) & M
     acc ^= (len(b) * 0x9E3779B97F4A7C15) & M
     # pure-int splitmix64 (mirrors mix64)
     acc = (acc + 0x9E3779B97F4A7C15) & M

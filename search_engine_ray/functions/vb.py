@@ -138,8 +138,7 @@ def vb_decode_array(buf: np.ndarray | bytes) -> np.ndarray:
     n = len(b)
     if n == 0:
         return np.zeros(0, _U64)
-    term = b >= 128
-    ends = np.flatnonzero(term)
+    ends = (b >= 128).nonzero()[0]
     if len(ends) == 0 or ends[-1] != n - 1:
         # trailing partial value: reference decode loop would stop; we require
         # well-formed streams (our writer always terminates values).
@@ -148,7 +147,7 @@ def vb_decode_array(buf: np.ndarray | bytes) -> np.ndarray:
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     counts = ends - starts + 1
-    byte_end = np.repeat(ends, counts)
+    byte_end = ends.repeat(counts)
     exp = (byte_end - np.arange(n)).astype(_U64)
     contrib = (b.astype(_U64) & _U64(0x7F)) << (_U64(7) * exp)
     return np.add.reduceat(contrib, starts)

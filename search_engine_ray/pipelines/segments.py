@@ -13,7 +13,7 @@ Lucene-style segment model on top of the existing build:
 * ``delete_docs(root, ids)`` records tombstones (a DELETE-list — O(deletes),
   never corpus-sized; the same lesson as corpus_clean's drop-list).
   Serving drops them at the merged postings read
-  (query/segmented.py:SegmentedSearchEngine._read_postings); stats keep
+  (query/segmented.py:SegmentedSearchEngine._read_postings_many); stats keep
   counting deleted docs until compaction, exactly like Lucene's deleted docs.
 * ``compact(root)`` merges every segment (minus tombstoned postings) into
   ONE new segment and resets the tombstone list. Each segment's postings

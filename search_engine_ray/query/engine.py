@@ -31,6 +31,8 @@ from search_engine_ray.query.locator import PostingsLocator
 from search_engine_ray.query.postings_codec import (
     LEAN_COLUMNS,
     TermPostings,
+    TermRecords,
+    bounds_of,
     decode_term_chunks,
     ragged_slices,
 )
@@ -38,6 +40,7 @@ from search_engine_ray.query.scoring import (
     WEIGHT_DTYPES,
     TopkScratch,
     bm25_idf,
+    bm25_norms,
     bm25_weights,
     tfidf_weights,
     topk_docs,
@@ -152,6 +155,18 @@ def _matches(ids: np.ndarray, doc_ids: np.ndarray
     return sel[ok], np.flatnonzero(ok)
 
 
+def _at_docs(per_term: dict, doc_ids, dtype=None) -> dict:
+    """{term: its values at each of ``doc_ids``, 0 where absent} from
+    {term: (its doc ids, a value per posting)}."""
+    doc_ids = np.asarray(doc_ids, np.int64)
+    out = {}
+    for t, (ids, vals) in per_term.items():
+        sel, slot = _matches(ids, doc_ids)
+        out[t] = np.zeros(len(doc_ids), dtype or vals.dtype)
+        out[t][slot] = vals[sel]
+    return out
+
+
 def _union(parts) -> np.ndarray:
     """Ascending distinct doc ids over doc-id arrays."""
     parts = list(parts)
@@ -165,38 +180,31 @@ def _positional(got: tuple) -> TermPostings:
                         np.asarray(o, np.int64), np.asarray(v, np.int64))
 
 
-def read_postings(locator: PostingsLocator, term: str,
-                  positions: bool) -> TermPostings:
-    """One term's postings from one index: a single ``locator.read``, with
-    every column when ``positions`` is asked for, else with
-    ``LEAN_COLUMNS`` only (lean postings). ``decode_term_chunks`` and
-    ``locator.read`` are looked up at call time, so a wrapper installed on
-    either from outside (a tracer, a read counter) sees every read."""
-    return decode_term_chunks(locator.read(
-        term, columns=None if positions else LEAN_COLUMNS))
-
-
-def postings_entry(cache: dict, cap: int, read, term: str,
-                   positions: bool) -> list:
-    """The ``[postings, derived or None]`` entry of ``term`` in a
-    decoded-postings ``cache`` (FIFO-evicted at ``cap``), read on a miss
-    through ``read(term, positions) -> TermPostings`` — the one cache rule
-    every serving engine shares.
-
-    A miss makes one ``read``, lean unless ``positions`` is asked for.
-    When ``positions`` is asked for and the cached postings are lean, the
-    term is re-read with positions and its postings are replaced IN
-    PLACE: the entry keeps its FIFO slot and whatever is derived from its
-    doc ids and tfs (identical in both reads)."""
-    ent = cache.get(term)
-    if ent is None:
-        ent = [read(term, positions), None]
-        if len(cache) >= cap:
-            cache.pop(next(iter(cache)))
-        cache[term] = ent
-    elif positions and ent[0].pos_offsets is None:
-        ent[0] = read(term, True)
-    return ent
+def postings_entries(cache: dict, cap: int, read_many, terms: list[str],
+                     positions: bool) -> list[list]:
+    """The ``[postings, derived or None]`` entry of each of ``terms`` in a
+    decoded-postings ``cache`` (FIFO-evicted at ``cap``) — the one cache
+    rule every serving engine shares. What the cache cannot serve is read
+    in ONE ``read_many(terms, positions) -> [TermPostings]`` call. A cached
+    term whose postings are lean when ``positions`` is asked for is re-read
+    and its postings replaced IN PLACE: the entry keeps its FIFO slot and
+    whatever is derived from its doc ids and tfs."""
+    ents = [cache.get(t) for t in terms]
+    todo = [t for t, e in zip(terms, ents) if e is None or positions and e[0].pos_offsets is None]
+    if not todo:
+        return ents
+    todo = list(dict.fromkeys(todo))
+    fresh = dict(zip(todo, read_many(todo, positions)))
+    for t, tp in fresh.items():
+        ent = cache.get(t)
+        if ent is None:
+            if len(cache) >= cap:
+                cache.pop(next(iter(cache)))
+            ent = cache[t] = [tp, None]
+        else:
+            ent[0] = tp
+        fresh[t] = ent
+    return [fresh.get(t, e) for t, e in zip(terms, ents)]
 
 
 class SearchEngine:
@@ -263,6 +271,8 @@ class SearchEngine:
         self._dl_ids = np.asarray(dl_ids).astype(np.int64)
         self._dl = np.asarray(dl).astype(np.int64)
         self._dl_total = float(self._dl.sum())  # collection tokens (ql_topk's T)
+        # BM25 length norm per doc id, built on the first BM25 weighting
+        self._norms: np.ndarray | None = None
         # per-doc top-k buffers, allocated on the first ranked query
         self._scratch = TopkScratch(int(self._dl_ids[-1]) + 1 if len(self._dl_ids) else 0)
 
@@ -272,7 +282,7 @@ class SearchEngine:
         self.bktree = BKTree(terms) if build_bktree else None
 
         # small decoded-postings cache: term → [postings, BM25 weights or
-        # None], FIFO-evicted at _cache_cap (see postings_entry); postings
+        # None], FIFO-evicted at _cache_cap (see postings_entries); postings
         # hold positions only once a positional mode has asked for them
         self._cache: dict[str, list] = {}
         self._cache_cap = 1024
@@ -335,56 +345,64 @@ class SearchEngine:
         """Postings of an indexed term (None when the term is not in the
         dictionary): positional by default, lean cached postings upgraded
         in place; with ``positions=False`` whatever is cached, a miss
-        reading lean postings (see :func:`postings_entry`)."""
-        if self.lookup(term) is None:
-            return None
-        return postings_entry(self._cache, self._cache_cap, self._read_postings,
-                              term, positions)[0]
+        reading lean postings (see :func:`postings_entries`)."""
+        return self._postings([term], positions).get(term)
 
-    def _read_postings(self, term: str, positions: bool) -> TermPostings:
-        """A cache miss's read: the postings of ``term`` in this index."""
-        return read_postings(self.locator, term, positions)
+    def _postings(self, terms, positions: bool = False) -> dict:
+        """{term: postings} of the indexed terms among ``terms``, in term
+        order; the cache misses are read as one batch."""
+        known = [t for t in terms if self.lookup(t) is not None]
+        ents = postings_entries(self._cache, self._cache_cap, self._read_postings_many,
+                                known, positions)
+        return {t: e[0] for t, e in zip(known, ents)}
+
+    def _read_postings_many(self, terms: list[str], positions: bool) -> list[TermPostings]:
+        """A batch of cache misses: one ``locator.read`` per term (lean
+        unless ``positions``), then ONE ``decode_term_chunks`` of the
+        records. Both are looked up at call time, so a wrapper installed on
+        either from outside (a tracer, a read counter) sees them."""
+        columns = None if positions else LEAN_COLUMNS
+        return decode_term_chunks(TermRecords(
+            self.locator.read(t, columns=columns) for t in terms)).split()
 
     def bm25_postings(self, term: str) -> tuple[TermPostings, np.ndarray] | None:
         """(postings, BM25 weight per posting) of an indexed term with
-        df > 0, else None. The weights are computed on the term's first
-        BM25 use and cached read-only on its postings entry, so a cache hit
-        skips the doc-length lookup and the weight arithmetic; they are
-        elementwise, so a masked slice equals the weights of the masked
-        postings bit for bit. A miss reads and caches lean postings (no
-        positions); positional modes take theirs from :meth:`get_postings`.
-        df is the dictionary's (see :meth:`lookup`), which on a segment set
-        still counts deleted docs."""
-        meta = self.lookup(term)
-        if meta is None:
-            return None
-        ent = postings_entry(self._cache, self._cache_cap, self._read_postings,
-                             term, positions=False)
-        if ent[0].df == 0:
-            return None
-        tp, w = ent
-        if w is None:
-            w = bm25_weights(
-                tp.tfs, self.doc_length(tp.doc_ids), meta[1], self.num_docs,
-                self.avgdl, self.config.bm25_k1, self.config.bm25_b,
-            )
-            w.flags.writeable = False
-            ent[1] = w
-        return tp, w
+        df > 0, else None (see :meth:`_weights`)."""
+        return self._weights([term]).get(term)
 
-    def _weights(self, term: str, kind: str = "bm25"
-                 ) -> tuple[TermPostings, np.ndarray] | None:
-        """(postings, weight per posting) of an indexed term under a scoring
-        ``kind`` of ``scoring.WEIGHT_DTYPES``, else None: BM25 is
-        :meth:`bm25_postings` (cached weights, None when df = 0); tf-idf is
-        ``scoring.tfidf_weights`` in the kind's dtype."""
-        if kind == "bm25":
-            return self.bm25_postings(term)
-        tp = self.get_postings(term, positions=False)
-        if tp is None:
-            return None
-        return tp, tfidf_weights(tp.tfs, self.lookup(term)[1], self.num_docs,
-                                 WEIGHT_DTYPES[kind])
+    def _weights(self, terms, kind: str = "bm25") -> dict:
+        """{term: (postings, weight per posting)} of the indexed terms among
+        ``terms``, in term order, under a scoring ``kind`` of
+        ``scoring.WEIGHT_DTYPES``. tf-idf is ``scoring.tfidf_weights``.
+        BM25 leaves out terms with df = 0; its weights are computed on a
+        term's first BM25 use — those of every new term of the call in one
+        ``bm25_weights`` call, from per-term idfs and per-doc length norms
+        (built once, through :meth:`doc_length`) — and cached read-only on
+        the term's entry. They are elementwise, so a masked slice equals
+        the weights of the masked postings bit for bit. df is the
+        dictionary's, which on a segment set counts deleted docs."""
+        if kind != "bm25":
+            return {t: (tp, tfidf_weights(tp.tfs, self.lookup(t)[1], self.num_docs,
+                                          WEIGHT_DTYPES[kind]))
+                    for t, tp in self._postings(terms).items()}
+        dfs = {t: m[1] for t in terms if (m := self.lookup(t)) is not None}
+        ents = postings_entries(self._cache, self._cache_cap, self._read_postings_many, dfs,
+                                False)
+        new = [(dfs[t], e) for t, e in zip(dfs, ents) if e[1] is None and e[0].df]
+        if new:
+            if self._norms is None:
+                self._norms = bm25_norms(self.doc_length(np.arange(int(self._dl_ids[-1]) + 1)),
+                                         self.avgdl, self.config.bm25_k1, self.config.bm25_b)
+            counts = [e[0].df for _df, e in new]
+            idf = np.array([bm25_idf(df, self.num_docs) for df, _e in new]).repeat(counts)
+            norms = self._norms.take(np.concatenate([e[0].doc_ids for _df, e in new]), mode="clip")
+            w = bm25_weights(np.concatenate([e[0].tfs for _df, e in new]), idf=idf, norms=norms,
+                             k1=self.config.bm25_k1)
+            b = bounds_of(counts).tolist()
+            for (_df, ent), lo, hi in zip(new, b, b[1:]):  # own arrays, as in split()
+                ent[1] = w if len(new) == 1 else w[lo:hi].copy()
+                ent[1].flags.writeable = False
+        return {t: (e[0], e[1]) for t, e in zip(dfs, ents) if e[0].df}
 
     # ----------------------------------------------------------- postings seams
     # Every mode reads postings through the five term-batched methods below
@@ -394,49 +412,23 @@ class SearchEngine:
     # fan out to shard actors, which answer them with this code.
     def term_doc_ids(self, terms) -> dict:
         """{term: its doc ids}."""
-        out = {}
-        for t in terms:
-            tp = self.get_postings(t, positions=False)
-            if tp is not None:
-                out[t] = tp.doc_ids
-        return out
+        return {t: tp.doc_ids for t, tp in self._postings(terms).items()}
 
     def term_ctfs(self, terms) -> dict:
         """{term: its collection frequency} (``TermPostings.ctf``)."""
-        out = {}
-        for t in terms:
-            tp = self.get_postings(t, positions=False)
-            if tp is not None:
-                out[t] = tp.ctf
-        return out
+        return {t: tp.ctf for t, tp in self._postings(terms).items()}
 
     def term_weights_for_docs(self, terms, doc_ids, kind: str = "bm25") -> dict:
         """{term: its ``kind`` weight at each of ``doc_ids``, 0 where a doc
         lacks it} — the exact scores of given candidates."""
-        doc_ids = np.asarray(doc_ids, np.int64)
-        out = {}
-        for t in terms:
-            got = self._weights(t, kind)
-            if got is not None:
-                sel, slot = _matches(got[0].doc_ids, doc_ids)
-                w = np.zeros(len(doc_ids), got[1].dtype)
-                w[slot] = got[1][sel]
-                out[t] = w
-        return out
+        return _at_docs({t: (tp.doc_ids, w) for t, (tp, w) in self._weights(terms, kind).items()},
+                        doc_ids)
 
     def term_tfs_for_docs(self, terms, doc_ids) -> dict:
         """{term: its tf at each of ``doc_ids`` as float64, 0 where
         absent}."""
-        doc_ids = np.asarray(doc_ids, np.int64)
-        out = {}
-        for t in terms:
-            tp = self.get_postings(t, positions=False)
-            if tp is not None:
-                sel, slot = _matches(tp.doc_ids, doc_ids)
-                tf = np.zeros(len(doc_ids), np.float64)
-                tf[slot] = tp.tfs[sel]
-                out[t] = tf
-        return out
+        return _at_docs({t: (tp.doc_ids, tp.tfs) for t, tp in self._postings(terms).items()},
+                        doc_ids, np.float64)
 
     def term_positions_for_docs(self, terms, doc_ids) -> dict:
         """{term: (those of ``doc_ids`` that have it, position offsets,
@@ -447,11 +439,11 @@ class SearchEngine:
         those entries instead of reading lean postings that would then be
         re-read."""
         doc_ids = np.asarray(doc_ids, np.int64)
+        got = self._postings(terms, positions=True)
+        if not len(doc_ids):
+            return {}
         out = {}
-        for t in terms:
-            tp = self.get_postings(t)
-            if tp is None or not len(doc_ids):
-                continue
+        for t, tp in got.items():
             sel, _slot = _matches(tp.doc_ids, doc_ids)
             if len(sel) == tp.df:  # every posting: no copy
                 out[t] = (tp.doc_ids, tp.pos_offsets, tp.pos_values)
@@ -512,11 +504,10 @@ class SearchEngine:
         """Per-term (doc ids, ``kind`` weights) over the terms
         :meth:`_weights` scores, in term order: what the ranked modes feed
         topk_docs."""
+        weights = self._weights(terms, kind)
         doc_parts, score_parts = [], []
         for t in terms:
-            # bm25 calls bm25_postings itself: one frame less per term on
-            # the serving hot path
-            got = self.bm25_postings(t) if kind == "bm25" else self._weights(t, kind)
+            got = weights.get(t)
             if got is None:
                 continue
             ids, w = got[0].doc_ids, got[1]
@@ -855,12 +846,9 @@ class SearchEngine:
         ``_topk`` needs). Top-k by (score desc, doc_id asc)."""
         from search_engine_ray.query.postings_codec import segmented_min_distance
 
-        present = []
-        for t in self.query_terms(query):
-            m = self.lookup(t)
-            if m is not None and m[1]:
-                present.append(t)
-        idf = {t: bm25_idf(self.lookup(t)[1], self.num_docs) for t in present}
+        idf = {t: bm25_idf(m[1], self.num_docs) for t in self.query_terms(query)
+               if (m := self.lookup(t)) is not None and m[1]}
+        present = list(idf)
         pairs = [(a, b) for i, a in enumerate(present) for b in present[i + 1:]]
         if pairs:  # positions first (see term_positions_for_docs)
             self.term_positions_for_docs(present, _NO_DOCS)

@@ -81,9 +81,8 @@ def query_predictors(eng, query: str) -> dict[str, float]:
         # total tokens = Σ doc_length (the stats file carries num_docs +
         # avgdl, whose product is exactly that sum)
         big_t = float(eng.num_docs) * float(eng.avgdl)
-    for t in terms:
-        tp = eng.get_postings(t)
-        if tp is None or tp.df == 0:
+    for tp in eng._postings(terms).values():
+        if tp.df == 0:
             continue
         ctf = float(tp.tfs.sum())
         idfs.append(bm25_idf(tp.df, eng.num_docs))

@@ -35,12 +35,9 @@ def bm25f_topk(engines: dict, weights: dict[str, float], query: str,
         w = float(weights.get(field, 0.0))
         if w == 0.0:
             continue
-        for t in eng.query_terms(query):
-            got = eng.bm25_postings(t)
-            if got is None:
-                continue
-            doc_parts.append(got[0].doc_ids)
-            score_parts.append(w * got[1])
+        for tp, tw in eng._weights(eng.query_terms(query)).values():
+            doc_parts.append(tp.doc_ids)
+            score_parts.append(w * tw)
     if not doc_parts:
         return []
     # one doc space, so the first field engine's top-k buffers serve all

@@ -37,12 +37,8 @@ def ltr_features(eng, query: str) -> pa.Table:
     terms = eng.query_terms(query)
     n_q = len(terms)
     id_parts, col_parts = [], {"bm25": [], "tfidf": [], "tf": [], "idf": []}
-    tps = []
-    for t in terms:
-        tp = eng.get_postings(t)
-        if tp is None or tp.df == 0:
-            continue
-        tps.append(tp)
+    tps = [tp for tp in eng._postings(terms, positions=True).values() if tp.df]
+    for tp in tps:
         dl = eng.doc_length(tp.doc_ids)
         id_parts.append(tp.doc_ids)
         col_parts["bm25"].append(bm25_weights(

@@ -102,25 +102,21 @@ def proximity_window_pairs(pp1: np.ndarray, pp2: np.ndarray, k: int
     if total == 0:
         z = np.zeros(0, np.int64)
         return z, z
-    bounds = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(bounds[:-1], counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(bounds_of(counts)[:-1], counts)
     return np.repeat(pp1, counts), pp2[np.repeat(lo, counts) + within]
 
 
-def _restart_cumsum(gaps: np.ndarray, counts: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Un-delta ``gaps`` split into consecutive segments of ``counts``
-    values, each segment's first value absolute → (values, segment
-    offsets). One global cumsum minus the total carried into each segment
-    start."""
-    bounds = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    if bounds[-1] != len(gaps):
-        raise ValueError(f"segment counts cover {bounds[-1]} of {len(gaps)} values")
-    run = np.zeros(len(gaps) + 1, np.int64)
-    np.cumsum(gaps.view(np.int64), out=run[1:])
-    return run[1:] - np.repeat(run[bounds[:-1]], counts), bounds
+def bounds_of(counts) -> np.ndarray:
+    """[0, c0, c0 + c1, …]: bounds of consecutive segments of ``counts``."""
+    out = np.zeros(len(counts) + 1, np.int64)
+    np.add.accumulate(counts, dtype=np.int64, out=out[1:])
+    return out
+
+
+def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the consecutive segments ``bounds`` delimits."""
+    run = bounds_of(values)
+    return run[bounds[1:]] - run[bounds[:-1]]
 
 
 class DamagedShardError(ValueError):
@@ -128,48 +124,124 @@ class DamagedShardError(ValueError):
     disagree (stages/postings_file.py)."""
 
 
-def _damaged(rec: TermRecord, what: str) -> DamagedShardError:
-    return DamagedShardError(f"{rec.path}: term {rec.term!r}: {what}")
+def decode_records(lean_bytes: np.ndarray, lean: np.ndarray, df: np.ndarray, where,
+                   pos_bytes: np.ndarray | None = None, pos_nbytes: np.ndarray | None = None):
+    """Records decoded together, with one VB decode of their lean parts
+    (``lean_bytes``: record i's ``lean[i]`` bytes hold its ``df[i]``
+    postings) → (doc_ids, tfs, pos_bounds), the records' postings back to
+    back. With ``pos_bytes`` (their position bytes back to back,
+    ``pos_nbytes[i]`` of record i), posting j's position bytes are
+    ``pos_bytes[pos_bounds[j]:pos_bounds[j+1]]``; else pos_bounds is None.
+    Raises DamagedShardError naming ``where(i)`` (file and term) for the
+    first record i whose bytes do not hold its postings."""
 
+    def damaged(bad: np.ndarray, what: str) -> DamagedShardError:
+        return DamagedShardError(f"{where(int(np.flatnonzero(bad)[0]))}: {what}")
 
-def decode_term_record(rec: TermRecord) -> TermPostings:
-    """One term record → TermPostings: one VB decode of the lean part —
-    df values (doc gap << 1 | tf > 1) and a cumsum, then tf - 2 for each
-    flagged posting — and, when positional, one VB decode of the position
-    bytes split per posting by tf. Raises, naming the file and the term,
-    when the bytes do not hold the record's df postings."""
-    df = rec.df
-    z = np.zeros(0, np.int64)
-    if df == 0:
-        return TermPostings(z, z, np.zeros(1, np.int64) if rec.positional else None, z)
-    buf = np.frombuffer(rec.data, np.uint8)
-    try:
-        vals = vb_decode_array(buf[:rec.lean_nbytes]).view(np.int64)
-        pos = vb_decode_array(buf[rec.lean_nbytes:]) if rec.positional else None
-    except ValueError as e:
-        raise _damaged(rec, str(e)) from None
-    many = (vals[:df] & 1).astype(bool)
-    if len(vals) != df + int(many.sum()):
-        raise _damaged(rec, f"lean part holds {len(vals)} values, expected "
-                            f"{df} + one per posting with tf > 1")
-    gaps = vals[:df] >> 1
-    if not gaps[1:].all():
-        raise _damaged(rec, "doc ids not strictly ascending")
-    doc_ids = np.cumsum(gaps)
+    lb = bounds_of(lean)
+    # a batch's bytes fit int32 (a read batch, or one record of < 2 GiB)
+    term_at = np.zeros(len(lean_bytes) + 1, np.int32 if len(lean_bytes) < 2**31 else np.int64)
+    np.add.accumulate(lean_bytes >= 128, dtype=term_at.dtype, out=term_at[1:])
+    n_vals = term_at[lb[1:]] - term_at[lb[:-1]]
+    short = n_vals < df
+    if len(lean_bytes):  # or a lean part cut inside a value
+        short |= (lean > 0) & (lean_bytes[np.maximum(lb[1:] - 1, 0)] < 128)
+    if short.any():
+        raise damaged(short, "lean part does not hold its df postings")
+    vals = vb_decode_array(lean_bytes).view(np.int64)
+    pb = bounds_of(df)
+    at = np.arange(pb[-1], dtype=np.int64) + (term_at[lb[:-1]] - pb[:-1]).repeat(df)
+    doc_vals = vals[at]
+    many = (doc_vals & 1).astype(bool)
+    bad = n_vals != df + segment_sums(many, pb)
+    if bad.any():
+        raise damaged(bad, "lean part holds other than df + one value per "
+                           "posting with tf > 1")
+    gaps = doc_vals >> 1
+    heads = pb[:-1][df > 0]
+    low = gaps <= 0
+    low[heads] = False  # a record's first gap is its first doc id
+    if low.any():
+        raise damaged(segment_sums(low, pb) > 0, "doc ids not strictly ascending")
+    run = gaps.cumsum()
+    doc_ids = run - (run[heads] - gaps[heads]).repeat(df[df > 0])
+    is_doc = np.zeros(len(vals), bool)
+    is_doc[at] = True
     tfs = many.astype(np.int64) + 1
-    tfs[many] = vals[df:] + 2
-    if pos is None:
-        return TermPostings(doc_ids, tfs, None, z)
-    if len(pos) != int(tfs.sum()):
-        raise _damaged(rec, f"{len(pos)} positions, expected {int(tfs.sum())}")
-    pos_values, pos_offsets = _restart_cumsum(pos, tfs)
-    return TermPostings(doc_ids, tfs, pos_offsets, pos_values)
+    tfs[many] = vals[~is_doc] + 2
+    if pos_bytes is None:
+        return doc_ids, tfs, None
+    ppb = bounds_of(pos_nbytes)
+    ends = np.flatnonzero(pos_bytes >= 128)
+    bad = (np.searchsorted(ends, ppb[1:]) - np.searchsorted(ends, ppb[:-1])
+           != segment_sums(tfs, pb))
+    if len(pos_bytes):  # or position bytes cut inside a value
+        bad |= (pos_nbytes > 0) & (pos_bytes[np.maximum(ppb[1:] - 1, 0)] < 128)
+    if bad.any():
+        raise damaged(bad, "positions do not hold tf values per posting")
+    pos_bounds = np.zeros(len(tfs) + 1, np.int64)
+    pos_bounds[1:] = ends[np.cumsum(tfs) - 1] + 1
+    return doc_ids, tfs, pos_bounds
 
 
-def decode_term_chunks(rec: TermRecord) -> TermPostings:
-    """A term's postings from the record the locator read (the serving
-    decode seam; see :func:`decode_term_record`)."""
-    return decode_term_record(rec)
+class TermRecords(list):
+    """Term records decoded together (a query's cache misses), all lean or
+    all positional; ``num_rows`` counts those of terms the index holds."""
+
+    @property
+    def num_rows(self) -> int:
+        return sum(r.num_rows for r in self)
+
+
+@dataclass
+class PostingsBatch(TermPostings):
+    """Several records' postings back to back: record i's are rows
+    ``bounds[i]:bounds[i+1]``, position offsets run over the whole batch. A
+    batch of one record is that term's postings."""
+
+    bounds: np.ndarray | None = None
+
+    def split(self) -> list[TermPostings]:
+        """Each record's postings; from a batch of several, in arrays of
+        their own, so a cached term does not keep the whole batch alive."""
+        if len(self.bounds) == 2:
+            return [TermPostings(self.doc_ids, self.tfs, self.pos_offsets, self.pos_values)]
+        out, b = [], self.bounds.tolist()
+        for lo, hi in zip(b, b[1:]):
+            offsets, values = None, self.pos_values
+            if self.pos_offsets is not None:
+                p0, p1 = int(self.pos_offsets[lo]), int(self.pos_offsets[hi])
+                offsets, values = self.pos_offsets[lo:hi + 1] - p0, self.pos_values[p0:p1].copy()
+            out.append(TermPostings(self.doc_ids[lo:hi].copy(), self.tfs[lo:hi].copy(),
+                                    offsets, values))
+        return out
+
+
+def decode_term_chunks(recs: TermRecord | TermRecords) -> PostingsBatch:
+    """The serving decode seam: the postings of the record(s) the locator
+    read, decoded together (:func:`decode_records`); positional records'
+    positions are also VB-decoded and un-delta'd per posting."""
+    recs = [recs] if isinstance(recs, TermRecord) else recs
+    df = np.fromiter((r.df for r in recs), np.int64, len(recs))
+    lean = np.fromiter((r.lean_nbytes for r in recs), np.int64, len(recs))
+
+    def where(i: int) -> str:
+        return f"{recs[i].path}: term {recs[i].term!r}"
+
+    if not recs[0].positional:  # a lean record is its lean part
+        doc_ids, tfs, _ = decode_records(
+            np.frombuffer(b"".join(r.data for r in recs), np.uint8), lean, df, where)
+        return PostingsBatch(doc_ids, tfs, None, np.zeros(0, np.int64), bounds=bounds_of(df))
+    data = [(memoryview(r.data), n) for r, n in zip(recs, lean.tolist())]
+    pos_bytes = np.frombuffer(b"".join(v[n:] for v, n in data), np.uint8)
+    doc_ids, tfs, _ = decode_records(
+        np.frombuffer(b"".join(v[:n] for v, n in data), np.uint8), lean, df, where,
+        pos_bytes, np.array([len(v) - n for v, n in data], np.int64))
+    pos_offsets = bounds_of(tfs)
+    run = bounds_of(vb_decode_array(pos_bytes).view(np.int64))
+    # each posting's first position is absolute: drop what its start carried
+    pos_values = run[1:] - run[pos_offsets[:-1]].repeat(tfs)
+    return PostingsBatch(doc_ids, tfs, pos_offsets, pos_values, bounds=bounds_of(df))
 
 
 def segmented_min_distance(pos1: np.ndarray, off1: np.ndarray,
@@ -207,8 +279,7 @@ def ragged_slices(src_offsets: np.ndarray, values: np.ndarray,
     kernel behind per-candidate position slicing (proximity scoring, LTR
     positional features, distributed prox fan-outs)."""
     lens = src_offsets[idx + 1] - src_offsets[idx]
-    off = np.zeros(len(idx) + 1, np.int64)
-    np.cumsum(lens, out=off[1:])
+    off = bounds_of(lens)
     gather = (np.arange(int(off[-1]), dtype=np.int64)
               + np.repeat(src_offsets[idx] - off[:-1], lens))
     return values[gather], off

@@ -49,26 +49,32 @@ def bm25_idf(df: int, num_docs: int) -> float:
     return float(np.log((num_docs - df + 0.5) / (df + 0.5) + 1.0))
 
 
-def bm25_weights(
-    tfs: np.ndarray,
-    doc_lengths: np.ndarray,
-    df: int,
-    num_docs: int,
-    avgdl: float,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> np.ndarray:
+def bm25_norms(doc_lengths: np.ndarray, avgdl: float, k1: float = 1.2,
+               b: float = 0.75) -> np.ndarray:
+    """The BM25 length norm k1·(1 − b + b·dl/avgdl) of each doc length."""
+    return k1 * (1.0 - b + b * doc_lengths.astype(np.float64) / avgdl)
+
+
+def bm25_weights(tfs: np.ndarray, doc_lengths: np.ndarray | None = None, df: int = 0,
+                 num_docs: int = 0, avgdl: float = 1.0, k1: float = 1.2, b: float = 0.75,
+                 *, idf=None, norms=None) -> np.ndarray:
+    """Per-posting BM25 weights idf·tf·(k1 + 1) / (tf + norm) of one term's
+    postings, in float64. A batch of several terms' postings passes its
+    ``idf`` per posting and ``norms`` (:func:`bm25_norms` of each
+    posting's doc) instead: the same expression, so the same bits."""
     tf = tfs.astype(np.float64)
-    dl = doc_lengths.astype(np.float64)
-    denom = tf + k1 * (1.0 - b + b * dl / avgdl)
-    return bm25_idf(df, num_docs) * tf * (k1 + 1.0) / denom
+    norms = bm25_norms(doc_lengths, avgdl, k1, b) if norms is None else norms
+    idf = bm25_idf(df, num_docs) if idf is None else idf
+    return idf * tf * (k1 + 1.0) / (tf + norms)
 
 
-#: fewest (doc, score) pairs for which topk_docs takes a scratch's dense
-#: path. Below it the one-sort kernel is faster: on 2–8 ascending runs the
-#: crossover is ~1k pairs on a 6k-doc scratch (mask scan), ~3k at 100k docs
-#: and above 5k at 1M (per-run collection, where ``np.add.at`` misses cache)
+#: fewest (doc, score) pairs for which topk_docs takes the dense path of a
+#: scratch of up to ``_DENSE_CACHED_DOCS`` entries; past that the cut grows
+#: with the square of its length, up to the mask scan's dense input. On 2–8
+#: ascending runs the one-sort kernel wins below ~1.5k pairs at 6k docs, ~3k
+#: at 100k, and at 1M everywhere below the mask scan (``np.add.at`` misses)
 _DENSE_MIN_PAIRS = 2048
+_DENSE_CACHED_DOCS = 90_000
 #: TopkScratch.accumulate finds its touched docs by one scan of the whole
 #: ``seen`` mask once pairs × this ≥ the buffer's length, and per run
 #: below. The mask scan wins on every input at 6k docs; its crossover is
@@ -90,6 +96,16 @@ class TopkScratch:
         self._size = size
         self.seen = np.zeros(0, bool)
         self._acc: dict[np.dtype, np.ndarray] = {}
+
+    def min_pairs(self) -> int:
+        """The fewest pairs for which :func:`topk_docs` uses this scratch."""
+        size = max(self._size, len(self.seen))
+        if size <= _DENSE_CACHED_DOCS:
+            return _DENSE_MIN_PAIRS
+        grown = int(_DENSE_MIN_PAIRS * (size / _DENSE_CACHED_DOCS) ** 2)
+        if _DENSE_MASK_RATIO:
+            grown = min(grown, size // _DENSE_MASK_RATIO)
+        return max(_DENSE_MIN_PAIRS, grown)
 
     def accumulate(self, doc_ids: np.ndarray, scores: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +181,7 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
     Without ``scratch`` (the spec): a stable argsort groups each doc's
     entries in input order (doc ids arriving as a few ascending runs make
     it a run merge) and ``np.add.at`` sums them. With an engine-owned
-    :class:`TopkScratch` (doc ids ≥ 0) and at least ``_DENSE_MIN_PAIRS``
+    :class:`TopkScratch` (doc ids ≥ 0) and at least its ``min_pairs()``
     pairs: the term-at-a-time path — one ``np.add.at`` adds every pair
     straight into a dense per-doc array (:meth:`TopkScratch.accumulate`),
     with no sort. Both sum every doc 0 + w₁ + w₂ … in input order, so they
@@ -174,7 +190,7 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
     that are fully sorted."""
     if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
-    if scratch is not None and len(doc_ids) >= _DENSE_MIN_PAIRS:
+    if scratch is not None and len(doc_ids) >= scratch.min_pairs():
         uniq, agg = scratch.accumulate(doc_ids, scores)
     else:
         order = np.argsort(doc_ids, kind="stable")

@@ -11,12 +11,13 @@ results equal a monolithic index over the same docs.
   with summed df; N (num_docs) and avgdl are exact integer sums over the
   segment stats; doc lengths are the segments' arrays merged in doc-id
   order.
-* A postings read (the cache-miss ``read`` of ``engine.postings_entry``)
-  decodes the term in each segment whose dictionary has it, concatenates
-  the postings in segment order, sorts them by doc id only when the
-  segments' doc ids interleave (a subset compaction can merge segments
-  around a kept one), and drops tombstoned docs. The postings cache then
-  holds the merged, live postings, and :meth:`refresh_tombstones` clears it.
+* A batch of cache misses (the ``read_many`` of
+  ``engine.postings_entries``) is read with one batched read per segment,
+  of the terms its dictionary has. Then, term by term, the postings are
+  concatenated in segment order, sorted by doc id only when the segments'
+  doc ids interleave (a subset compaction can merge segments around a
+  kept one), and tombstoned docs are dropped. The postings cache then holds
+  the merged, live postings, and :meth:`refresh_tombstones` clears it.
 
 Tombstones (deleted docs) therefore never reach a mode. Like Lucene, deleted
 docs still count in the collection statistics until compaction
@@ -37,7 +38,7 @@ from search_engine_ray.pipelines.segments import (
     read_segments,
     segment_dir,
 )
-from search_engine_ray.query.engine import SearchEngine, read_postings
+from search_engine_ray.query.engine import SearchEngine
 from search_engine_ray.query.postings_codec import TermPostings, ragged_slices
 
 
@@ -119,12 +120,21 @@ class SegmentedSearchEngine(SearchEngine):
         m = self.lookup(term)
         return 0 if m is None else m[1]
 
-    def _read_postings(self, term: str, positions: bool) -> TermPostings:
-        """The merged, live postings of ``term`` over every segment whose
-        dictionary has it."""
-        tp = _concat([read_postings(eng.locator, term, positions)
-                      for eng in self.engines if eng.lookup(term) is not None])
-        idx = None
+    def _read_postings_many(self, terms: list[str], positions: bool) -> list[TermPostings]:
+        """The merged, live postings of each of ``terms`` over every
+        segment whose dictionary has it."""
+        parts: dict[str, list[TermPostings]] = {t: [] for t in terms}
+        for eng in self.engines:
+            mine = [t for t in terms if eng.lookup(t) is not None]
+            if mine:
+                for t, tp in zip(mine, eng._read_postings_many(mine, positions)):
+                    parts[t].append(tp)
+        return [self._live(_concat(parts[t])) for t in terms]
+
+    def _live(self, tp: TermPostings) -> TermPostings:
+        """One term's concatenated postings in doc-id order, tombstoned
+        docs dropped."""
+        idx, dropped = None, 0
         if self._interleaved:
             idx = np.argsort(tp.doc_ids, kind="stable")
         if len(self.tombstones):
@@ -132,8 +142,7 @@ class SegmentedSearchEngine(SearchEngine):
             if not live.all():
                 dropped = int(tp.tfs[~live].sum())
                 idx = np.flatnonzero(live) if idx is None else idx[live[idx]]
-                return _take(tp, idx, dropped)
-        return tp if idx is None else _take(tp, idx, 0)
+        return tp if idx is None else _take(tp, idx, dropped)
 
     def _url_table(self):
         return pa.concat_tables([e._url_table() for e in self.engines])

@@ -86,35 +86,26 @@ class ShardServingActor(SearchEngine):
                     if k[2] is not None and k[2][0] == name]:
             del self._impact_cache[key]
 
-    def _impact(self, term: str, kind: str = "bm25", flt=None):
-        """(doc_ids, weights, impact order) of one owned term, or None —
-        its :meth:`_weights` plus their descending-weight permutation,
+    def _impacts(self, terms: list[str], kind: str = "bm25", flt=None) -> dict:
+        """{term: (doc_ids, weights, impact order)} of the owned terms among
+        ``terms``: their :meth:`_weights` and descending-weight permutation,
         cached per (term, kind, flt). ``flt`` = (attr_name, sorted code
         tuple) restricts the VIEW to allowed docs: weights come from the
         full postings (df/tf/dl are corpus-level, Lucene filter semantics)
-        and are then masked, so an allowed doc's weight is bit-identical
-        to the unfiltered one."""
-        key = (term, kind, flt)
-        ent = self._impact_cache.get(key)
-        if ent is None:
-            if flt is None:
-                got = self._weights(term, kind)
-                if got is not None:
-                    got = got[0].doc_ids, got[1]
-            else:
-                got = self._impact(term, kind)
-                if got is not None:
-                    ids, w, _order = got
-                    keep = doc_attr_mask(self._doc_attrs[flt[0]],
-                                         np.asarray(flt[1], np.int64), ids)
-                    got = ids[keep], w[keep]
-            if got is None:
-                return None
-            ent = (*got, np.argsort(-got[1], kind="stable"))
+        and are then masked, so an allowed doc's weight is bit-identical to
+        the unfiltered one."""
+        out = {t: self._impact_cache.get((t, kind, flt)) for t in terms}
+        todo = [t for t, ent in out.items() if ent is None]
+        for t, (tp, w) in self._weights(todo, kind).items():
+            ids = tp.doc_ids
+            if flt is not None:
+                keep = doc_attr_mask(self._doc_attrs[flt[0]], np.asarray(flt[1], np.int64), ids)
+                ids, w = ids[keep], w[keep]
+            out[t] = (ids, w, np.argsort(-w, kind="stable"))
             if len(self._impact_cache) >= self._cache_cap:
                 self._impact_cache.pop(next(iter(self._impact_cache)))
-            self._impact_cache[key] = ent
-        return ent
+            self._impact_cache[(t, kind, flt)] = out[t]
+        return {t: ent for t, ent in out.items() if ent is not None}
 
     def term_impact_page(self, terms: list[str], start: int, stop: int,
                          small_df_cap: int = 0, kind: str = "bm25",
@@ -130,11 +121,7 @@ class ShardServingActor(SearchEngine):
         terms are cheap to send and exhausting them collapses the
         coordinator's outside-bound to the hot terms' tails only."""
         out = {}
-        for t in terms:
-            ent = self._impact(t, kind, flt)
-            if ent is None:
-                continue
-            ids, w, order = ent
+        for t, (ids, w, order) in self._impacts(terms, kind, flt).items():
             stop_eff = len(order) if len(order) <= small_df_cap else stop
             page = order[start:stop_eff]
             exhausted = stop_eff >= len(order)
@@ -163,7 +150,7 @@ class DistributedSearchEngine(SearchEngine):
         #: rows shipped coordinator-ward by the most recent ranked query
         self.last_fetch_rows = 0
 
-    def _read_postings(self, term: str, positions: bool):
+    def _read_postings_many(self, terms: list[str], positions: bool):
         raise NotImplementedError(
             "postings live on the shard actors; read them through the term_* seams")
 

@@ -63,7 +63,10 @@ from search_engine_ray.functions.vb import (
 from search_engine_ray.query.postings_codec import (
     DamagedShardError,
     TermRecord,
-    decode_term_record,
+    bounds_of,
+    decode_records,
+    decode_term_chunks,
+    segment_sums,
 )
 
 SHARD_FILE = "postings.bin"
@@ -77,14 +80,6 @@ _SLICE_ROWS = 1_500_000
 
 def shard_file(postings_dir: str, shard: int) -> str:
     return os.path.join(postings_dir, f"shard={shard}", SHARD_FILE)
-
-
-def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` over the consecutive segments ``bounds``
-    delimits (len(bounds) - 1 segments, empty segments allowed)."""
-    run = np.zeros(len(values) + 1, np.int64)
-    np.cumsum(values, out=run[1:])
-    return run[bounds[1:]] - run[bounds[:-1]]
 
 
 class ShardWriter:
@@ -137,18 +132,13 @@ class ShardWriter:
         many = tfs > 1
         doc_enc, doc_lens = vb_encode_array((gaps << 1) | many)
         tf_enc, tf_lens = vb_encode_array(tfs[many] - 2)
-        doc_b = _segment_sums(doc_lens, starts)
-        many_at = np.zeros(len(df) + 1, np.int64)
-        np.cumsum(_segment_sums(many, starts), out=many_at[1:])
-        tf_b = _segment_sums(tf_lens, many_at)
+        doc_b = segment_sums(doc_lens, starts)
+        tf_b = segment_sums(tf_lens, bounds_of(segment_sums(many, starts)))
         pos_at = pos_bounds[starts]
         lean = doc_b + tf_b
         nbytes = lean + np.diff(pos_at)
 
-        doc_at = np.zeros(len(df) + 1, np.int64)
-        np.cumsum(doc_b, out=doc_at[1:])
-        tf_at = np.zeros(len(df) + 1, np.int64)
-        np.cumsum(tf_b, out=tf_at[1:])
+        doc_at, tf_at = bounds_of(doc_b), bounds_of(tf_b)
         doc_mv, tf_mv, pos_mv = memoryview(doc_enc), memoryview(tf_enc), memoryview(pos_data)
         write = self._f.write
         for d0, d1, t0, t1, p0, p1 in zip(doc_at[:-1].tolist(), doc_at[1:].tolist(),
@@ -197,7 +187,7 @@ class ShardWriter:
         for sf, i in frags:
             off, lean, nb, df = (int(a[i]) for a in (sf.offsets, sf.lean, sf.nbytes, sf.df))
             data = sf.pread(off, lean, term)
-            tp = decode_term_record(TermRecord(term, sf.path, df, lean, data, False))
+            tp = decode_term_chunks(TermRecord(term, sf.path, df, lean, data, False))
             ends = np.flatnonzero(np.frombuffer(data, np.uint8) >= 128)
             doc_nb = int(ends[df - 1]) + 1  # the df doc values; tf values follow
             if prev_last is None:
@@ -320,8 +310,7 @@ class ShardFile:
             raise DamagedShardError(f"{path}: term table holds {len(cols)} values, "
                                     f"expected {5 * n}")
         lean, pos_nb, df, max_tf, term_len = cols.reshape(5, n)
-        term_at = np.zeros(n + 1, np.int64)
-        np.cumsum(term_len, out=term_at[1:])
+        term_at = bounds_of(term_len)
         if term_at[-1] != table_nbytes - table_vb:
             raise DamagedShardError(f"{path}: term lengths cover {term_at[-1]} of "
                                     f"{table_nbytes - table_vb} term bytes")
@@ -445,28 +434,16 @@ def _read_lean(sf: ShardFile, lo: int, hi: int) -> np.ndarray:
     np.cumsum((g_end - g_off)[:-1], out=g_at[1:])
     grp = np.cumsum(is_first) - 1
     at = g_at[grp] + off - g_off[grp]  # each lean part's start in ``span``
-    lb = np.zeros(len(lean) + 1, np.int64)
-    np.cumsum(lean, out=lb[1:])
+    lb = bounds_of(lean)
     return span[np.arange(lb[-1]) + np.repeat(at - lb[:-1], lean)]
 
 
 def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
-    """Records ``lo:hi`` of ``sf`` decoded together → (doc_ids, tfs,
-    pos_bytes, pos_bounds): with ``positions`` from one read of their byte
-    range, otherwise from their lean parts alone (:func:`_read_lean`). One
-    VB decode covers every lean part; position bytes are only sliced per
-    posting (posting i's ``pos_enc`` is
-    ``pos_bytes[pos_bounds[i]:pos_bounds[i+1]]``; both None unless
-    ``positions``). Raises, naming the file and the first term at fault,
-    when a record does not hold its table entry."""
+    """Records ``lo:hi`` of ``sf`` decoded together (``decode_records``) →
+    (doc_ids, tfs, pos_bytes, pos_bounds; both None unless ``positions``),
+    from one read of their byte range, or without ``positions`` of their
+    lean parts alone (:func:`_read_lean`)."""
     off, lean, nb, df = sf.offsets[lo:hi], sf.lean[lo:hi], sf.nbytes[lo:hi], sf.df[lo:hi]
-
-    def damaged(bad: np.ndarray, what: str) -> DamagedShardError:
-        i = int(np.flatnonzero(bad)[0])
-        return DamagedShardError(f"{sf.path}: term {sf.terms[lo + i]!r}: {what}")
-
-    lb = np.zeros(len(lean) + 1, np.int64)
-    np.cumsum(lean, out=lb[1:])
     if positions:
         base = int(off[0])
         span = np.frombuffer(sf.pread(base, int(off[-1] + nb[-1]) - base, sf.terms[lo]),
@@ -476,53 +453,12 @@ def _decode_records(sf: ShardFile, lo: int, hi: int, positions: bool):
         np.add.at(mark, off - base, 1)
         np.add.at(mark, off - base + lean, -1)
         in_lean = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
-        lean_bytes = span[in_lean]
+        lean_bytes, pos_bytes = span[in_lean], span[~in_lean]
     else:
-        lean_bytes = _read_lean(sf, lo, hi)
-    # a batch's bytes fit int32 (_BATCH_BYTES, or one record of < 2 GiB)
-    term_at = np.zeros(len(lean_bytes) + 1, np.int32 if len(lean_bytes) < 2**31 else np.int64)
-    np.cumsum(lean_bytes >= 128, dtype=term_at.dtype, out=term_at[1:])
-    n_vals = term_at[lb[1:]] - term_at[lb[:-1]]
-    cut = (lean > 0) & (lean_bytes[np.maximum(lb[1:] - 1, 0)] < 128)
-    if cut.any() or (n_vals < df).any():
-        raise damaged(cut | (n_vals < df), "lean part does not hold its df postings")
-    vals = vb_decode_array(lean_bytes).view(np.int64)
-    pb = np.zeros(len(df) + 1, np.int64)
-    np.cumsum(df, out=pb[1:])
-    at = np.arange(pb[-1], dtype=np.int64) + np.repeat(term_at[lb[:-1]] - pb[:-1], df)
-    doc_vals = vals[at]
-    many = (doc_vals & 1).astype(bool)
-    bad = n_vals != df + _segment_sums(many, pb)
-    if bad.any():
-        raise damaged(bad, "lean part holds other than df + one value per "
-                           "posting with tf > 1")
-    gaps = doc_vals >> 1
-    heads = pb[:-1]
-    inner = np.ones(len(gaps), bool)
-    inner[heads] = False
-    if (gaps[inner] <= 0).any():
-        i = int(np.flatnonzero(inner & (gaps <= 0))[0])
-        raise damaged(np.arange(len(df)) == np.searchsorted(pb, i, "right") - 1,
-                      "doc ids not strictly ascending")
-    run = np.cumsum(gaps)
-    doc_ids = run - np.repeat(run[heads] - gaps[heads], df)
-    is_doc = np.zeros(len(vals), bool)
-    is_doc[at] = True
-    tfs = many.astype(np.int64) + 1
-    tfs[many] = vals[~is_doc] + 2
-    if not positions:
-        return doc_ids, tfs, None, None
-    pos_bytes = span[~in_lean]
-    pos_nb = nb - lean
-    ppb = np.zeros(len(pos_nb) + 1, np.int64)
-    np.cumsum(pos_nb, out=ppb[1:])
-    ends = np.flatnonzero(pos_bytes >= 128)
-    n_pos = np.searchsorted(ends, ppb[1:]) - np.searchsorted(ends, ppb[:-1])
-    bad = (n_pos != _segment_sums(tfs, pb)) | (pos_bytes[np.maximum(ppb[1:] - 1, 0)] < 128)
-    if bad.any():
-        raise damaged(bad, "positions do not hold tf values per posting")
-    pos_bounds = np.zeros(len(tfs) + 1, np.int64)
-    pos_bounds[1:] = ends[np.cumsum(tfs) - 1] + 1
+        lean_bytes, pos_bytes = _read_lean(sf, lo, hi), None
+    doc_ids, tfs, pos_bounds = decode_records(
+        lean_bytes, lean, df, lambda i: f"{sf.path}: term {sf.terms[lo + i]!r}",
+        pos_bytes, nb - lean if positions else None)
     return doc_ids, tfs, pos_bytes, pos_bounds
 
 

@@ -773,36 +773,39 @@ class TestLeanPostingsCache:
 def test_bm25_miss_goes_through_traced_hooks(built, monkeypatch):
     """The serving benchmark's per-layer trace wraps the ``query.engine``
     globals ``decode_term_chunks``, ``bm25_weights`` and ``topk_docs`` and
-    the engine's ``locator.read``; a cache-miss ``bm25_topk`` must call
-    every one of them, and the decode counter's ``len(out.pos_values)``
-    must work on lean postings."""
+    the engine's ``locator.read``; a cache-miss ``bm25_topk`` must read
+    each term once, then decode and weigh its misses as ONE batch, and the
+    decode counter's ``a[0].num_rows``, ``len(out.doc_ids)`` and
+    ``len(out.pos_values)`` must work on a lean batch."""
     import search_engine_ray.query.engine as engine_mod
 
     engine, oracle, paths = built
     eng = SearchEngine(paths.out_dir, engine.config, build_bktree=False)
     calls = {"read": 0, "decode": 0, "weights": 0, "topk": 0}
-    positions = []
+    batches = []
 
     def counting(name, fn, after=None):
         def wrapped(*a, **kw):
             calls[name] += 1
             out = fn(*a, **kw)
             if after:
-                after(out)
+                after(a, out)
             return out
         return wrapped
 
     monkeypatch.setattr(engine_mod, "decode_term_chunks", counting(
         "decode", engine_mod.decode_term_chunks,
-        lambda out: positions.append(len(out.pos_values))))
+        lambda a, out: batches.append((a[0].num_rows, len(out.doc_ids),
+                                       len(out.pos_values)))))
     monkeypatch.setattr(engine_mod, "bm25_weights",
                         counting("weights", engine_mod.bm25_weights))
     monkeypatch.setattr(engine_mod, "topk_docs",
                         counting("topk", engine_mod.topk_docs))
     eng.locator.read = counting("read", eng.locator.read)
     assert eng.bm25_topk("alpha beta", 10) == oracle.bm25_topk("alpha beta", 10)
-    assert calls == {"read": 2, "decode": 2, "weights": 2, "topk": 1}
-    assert positions == [0, 0]
+    assert calls == {"read": 2, "decode": 1, "weights": 1, "topk": 1}
+    dfs = eng.lookup("alpha")[1] + eng.lookup("beta")[1]
+    assert batches == [(2, dfs, 0)]
 
 
 class TestLeanReadsPerMode:

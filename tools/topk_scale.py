@@ -24,13 +24,22 @@ density, each in a pass of its own over the same queries: they place the
 cut between them. ``mask_share`` is the share of queries that the shipped
 cut sends down the mask path.
 
+The ``cut`` sweep places ``TopkScratch.min_pairs``: for each size, 40
+queries per pair count, each 2–8 ascending runs of uniformly drawn doc ids
+splitting that many pairs, are ranked by the stateless kernel and by the
+scratch path forced on, three times each; it reports both medians and the
+cut the shipped rule sets for a scratch of that size.
+
 Part 2 (``--index-docs N``): builds an N-doc index from perfbench's seeded
 Zipf corpus under ``ray.init(num_cpus=1)`` and times ``bm25_topk`` (dense
 accumulator) over its head queries on a warm postings cache, checking that
 every query hits. This is the off-bench serving number at 1M docs; the WAND
 and MAXSCORE modes serve ``bm25_topk`` itself, so they are not timed apart.
-It also times a cold lean ``read_postings`` (locator read + decode) once per
-term over up to 2,000 evenly spaced dictionary terms on a fresh engine, and
+It also times a cold lean read (locator read + decode, one term per batch)
+once per term over up to 2,000 evenly spaced dictionary terms on a fresh
+engine; a cold multi-term ``bm25_topk`` over perfbench's ``wide`` queries
+with the postings cache emptied before each query, so every term misses
+and the query's misses are read, decoded and weighed as one batch; and
 reports the bytes of every file under ``dictionary/``, ``docs/`` and
 ``postings/``.
 
@@ -117,7 +126,7 @@ def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
             got = topk_docs(ids, w, K, scratch=scratch)
             assert _same(got, want), (n_docs, kind, w.dtype)
         pairs.append(len(ids))
-        on_mask += len(ids) >= scoring._DENSE_MIN_PAIRS and \
+        on_mask += len(ids) >= scratch.min_pairs() and \
             len(ids) * scoring._DENSE_MASK_RATIO >= len(scratch.seen)
         times["stateless"].append(_ms(lambda: topk_docs(ids, sc, K)))
         times["scratch"].append(_ms(lambda: topk_docs(ids, sc, K, scratch=scratch)))
@@ -136,12 +145,37 @@ def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
             "mask_ms": round(med["mask"], 4), "runs_ms": round(med["runs"], 4)}
 
 
+#: pair counts of the ``cut`` sweep (those up to half the docs are timed)
+CUT_PAIRS = (1000, 1500, 2048, 3000, 5000, 8000, 13000, 20000, 50000, 120000, 300000)
+
+
+def time_cut(n_docs: int, seed: int) -> dict:
+    rng = np.random.default_rng([seed, 3])
+    scratch = TopkScratch(n_docs + 1)
+    points = []
+    for pairs in (p for p in CUT_PAIRS if 2 * p <= n_docs):
+        times: dict[str, list[float]] = {"stateless": [], "scratch": []}
+        for _ in range(40):
+            n_runs = int(rng.integers(QUERY_TERMS[0], QUERY_TERMS[1] + 1))
+            cuts = np.sort(rng.choice(np.arange(1, pairs), n_runs - 1, replace=False))
+            ids = np.concatenate([np.sort(rng.choice(n_docs, n, replace=False)) + 1
+                                  for n in np.diff(np.concatenate([[0], cuts, [pairs]]))])
+            sc = rng.random(pairs) * 8.0
+            with mock.patch.object(scoring, "_DENSE_MIN_PAIRS", 0):
+                for _rep in range(3):
+                    times["stateless"].append(_ms(lambda: topk_docs(ids, sc, K)))
+                    times["scratch"].append(_ms(lambda: topk_docs(ids, sc, K, scratch=scratch)))
+        points.append({"pairs": pairs,
+                       **{f"{k}_ms": round(statistics.median(v), 4) for k, v in times.items()}})
+    return {"docs": n_docs, "min_pairs": scratch.min_pairs(), "points": points}
+
+
 def time_index(n_docs: int, seed: int) -> dict:
     import ray
 
     from perfbench.corpus import draw_queries, write_corpus
     from search_engine_ray.pipelines.build import build_index
-    from search_engine_ray.query.engine import SearchEngine, read_postings
+    from search_engine_ray.query.engine import SearchEngine
 
     work = tempfile.mkdtemp(prefix="topk_scale_")
     try:
@@ -178,8 +212,17 @@ def time_index(n_docs: int, seed: int) -> dict:
         read_us = []
         for term in terms[::max(1, len(terms) // 2000)]:
             t = perf()
-            read_postings(cold.locator, term, False)
+            cold.get_postings(term, positions=False)
             read_us.append(1e6 * (perf() - t))
+        wide = draw_queries(index_dir, "wide", seed, n=400)
+        cold_ms, cold_terms = [], []
+        for q in wide.timed:
+            cold._cache.clear()
+            t = perf()
+            res = cold.bm25_topk(q, K)
+            cold_ms.append(1e3 * (perf() - t))
+            cold_terms.append(len(cold.query_terms(q)))
+            assert res, q
         index_bytes = sum(os.path.getsize(os.path.join(dp, f))
                           for d in ("dictionary", "docs", "postings")
                           for dp, _dirs, files in os.walk(os.path.join(index_dir, d))
@@ -189,6 +232,10 @@ def time_index(n_docs: int, seed: int) -> dict:
                 "bm25_topk_ms": round(statistics.median(lat), 3),
                 "cold_terms": len(read_us),
                 "cold_read_postings_us": round(statistics.median(read_us), 1),
+                "cold_wide_queries": len(cold_ms),
+                "cold_wide_terms_per_q": round(statistics.mean(cold_terms), 2),
+                "cold_wide_bm25_topk_ms": round(statistics.median(cold_ms), 3),
+                "cold_wide_bm25_topk_p99_ms": round(float(np.percentile(cold_ms, 99)), 3),
                 "index_bytes": index_bytes}
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -201,8 +248,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
-    res = {"kernels": [time_kernels(int(n), kind, args.seed)
-                       for n in args.sizes.split(",") for kind in ("head", "wide")]}
+    sizes = [int(n) for n in args.sizes.split(",")]
+    res = {"kernels": [time_kernels(n, kind, args.seed)
+                       for n in sizes for kind in ("head", "wide")],
+           "cut": [time_cut(n, args.seed) for n in sizes]}
     if args.index_docs:
         res["index"] = time_index(args.index_docs, args.seed)
     line = json.dumps(res)
