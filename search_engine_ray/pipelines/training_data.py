@@ -4587,19 +4587,6 @@ def _bitext_mine_sharded(src, tgt, n_src: int, n_tgt: int, id_col: str,
             "bitext_mine sharded: %d shards on a multi-node cluster — "
             "node-local staging is unsafe, using per-shard filter scans "
             "(O(S × n_tgt) read volume)", S)
-    if S > 4 and _single_node:
-        import tempfile
-
-        tmp_shards = tempfile.mkdtemp(prefix="bitext_tgt_shards_")
-
-        def add_shard(b: pa.Table) -> pa.Table:
-            b = b.combine_chunks()
-            ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.append_column(
-                "tshard", pa.array(_shard_of(ids), pa.int64()))
-
-        tgt.map_batches(add_shard, batch_format="pyarrow").write_parquet(
-            tmp_shards, partition_cols=["tshard"])
 
     def _shard_rows(s: int) -> list:
         if tmp_shards is not None:
@@ -4614,21 +4601,38 @@ def _bitext_mine_sharded(src, tgt, n_src: int, n_tgt: int, id_col: str,
                                batch_format="pyarrow").take_all()
 
     shard_refs: list = []
-    for s in range(S):
-        rows = _shard_rows(s)
-        if not rows:
-            shard_refs.append(None)
-            continue
-        ids_s = np.asarray([r[id_col] for r in rows], np.int64)
-        o = np.argsort(ids_s, kind="stable")
-        ids_s = ids_s[o]
-        mat_s = np.asarray([np.frombuffer(rows[int(i)]["embp"], np.float64)
-                            for i in o])
-        shard_refs.append(ray.put((ids_s, np.ascontiguousarray(mat_s))))
-    if tmp_shards is not None:
-        import shutil as _shutil
+    # the staging dir holds a packed copy of the whole tgt side: removed
+    # however the staging write or the shard collection ends
+    try:
+        if S > 4 and _single_node:
+            import tempfile
 
-        _shutil.rmtree(tmp_shards, ignore_errors=True)
+            tmp_shards = tempfile.mkdtemp(prefix="bitext_tgt_shards_")
+
+            def add_shard(b: pa.Table) -> pa.Table:
+                b = b.combine_chunks()
+                ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+                return b.append_column(
+                    "tshard", pa.array(_shard_of(ids), pa.int64()))
+
+            tgt.map_batches(add_shard, batch_format="pyarrow").write_parquet(
+                tmp_shards, partition_cols=["tshard"])
+        for s in range(S):
+            rows = _shard_rows(s)
+            if not rows:
+                shard_refs.append(None)
+                continue
+            ids_s = np.asarray([r[id_col] for r in rows], np.int64)
+            o = np.argsort(ids_s, kind="stable")
+            ids_s = ids_s[o]
+            mat_s = np.asarray([np.frombuffer(rows[int(i)]["embp"], np.float64)
+                                for i in o])
+            shard_refs.append(ray.put((ids_s, np.ascontiguousarray(mat_s))))
+    finally:
+        if tmp_shards is not None:
+            import shutil as _shutil
+
+            _shutil.rmtree(tmp_shards, ignore_errors=True)
 
     part_schema = pa.table({"side": pa.array([], pa.int8()),
                             "gid": pa.array([], pa.int64()),

@@ -490,7 +490,7 @@ class SearchEngine:
         docs, scores = np.concatenate(doc_parts), np.concatenate(score_parts)
         if capsel is None:
             ids, sc = topk_docs(docs, scores, k, scratch=self._scratch)
-            return [(int(d), float(s)) for d, s in zip(ids, sc)]
+            return list(zip(ids.tolist(), sc.tolist()))
         from search_engine_ray.query.docattrs import capped_prefix, codes_for
 
         attr, cap, digits = capsel
@@ -530,7 +530,7 @@ class SearchEngine:
             if t in w:
                 scores += w[t]
         ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, sc)]
+        return list(zip(ids.tolist(), sc.tolist()))
 
     def prefix_search(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Autocomplete: dictionary terms starting with ``prefix``
@@ -1148,7 +1148,7 @@ class SearchEngine:
             p_bg = mu * float(ctfs[t]) / T
             scores += np.log((tfs[t] + p_bg) / (dl + mu))
         ids, sc = topk_docs(cand, scores, k, scratch=self._scratch)
-        return [(int(d), float(s)) for d, s in zip(ids, sc)]
+        return list(zip(ids.tolist(), sc.tolist()))
 
     # ------------------------------------------------------------------ DSL
     def search(self, query: str, k: int = 10,

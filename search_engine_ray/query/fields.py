@@ -44,4 +44,4 @@ def bm25f_topk(engines: dict, weights: dict[str, float], query: str,
     ids, scores = topk_docs(np.concatenate(doc_parts),
                             np.concatenate(score_parts), k,
                             scratch=next(iter(engines.values()))._scratch)
-    return [(int(d), float(s)) for d, s in zip(ids, scores)]
+    return list(zip(ids.tolist(), scores.tolist()))

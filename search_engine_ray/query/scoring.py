@@ -20,8 +20,14 @@ Top-k (:func:`topk_docs`) has one contract and two kernels. The stateless
 one sorts the query's (doc, score) pairs by doc id and is the spec. The
 term-at-a-time one (the reference's per-doc accumulators) adds every pair
 into a dense per-doc buffer an engine owns (:class:`TopkScratch`) with one
-``np.add.at``, once a query brings enough pairs to amortize the buffer; on
-dense input it then finds the touched docs with one scan of a per-doc mask.
+``np.add.at``, once a query brings enough pairs to amortize the buffer. On
+dense input it then picks its candidates straight off that buffer by a
+block-maximum floor (:func:`_block_floor`): the k-th largest of the maxima
+of fixed-size groups of entries is ≤ the k-th largest entry, so one scan
+for entries ≥ the floor keeps every doc that can rank, and the exact cut
+runs on those few. A floor ≤ 0 could admit untouched (+0.0) entries, so
+then it falls back to finding the touched docs by one scan of a per-doc
+mask. The same floor trims any large candidate set before the exact cut.
 It needs doc ids ≥ 0 and returns bit-identical results.
 """
 
@@ -80,13 +86,41 @@ _DENSE_CACHED_DOCS = 90_000
 #: below. The mask scan wins on every input at 6k docs; its crossover is
 #: at pairs ≈ 0.4 × docs at 100k and ≈ 0.2 × docs at 1M
 _DENSE_MASK_RATIO = 4
+#: entries per group of :func:`_block_floor`. Placed by ``tools/topk_scale.py``'s
+#: ``floor`` sweep over 16–256: 32–128 are within noise of each other at 6k,
+#: 100k and 1M docs; 64 was at or near the fastest at 6k docs on every run,
+#: and every width left ~10 candidates per head query (13 at 256)
+_FLOOR_BLOCK = 64
+
+
+def _block_floor(a: np.ndarray, k: int):
+    """A floor t ≤ the k-th largest number in ``a``, or NaN when there is
+    none to give: the k-th largest of the maxima of ``len(a) // _FLOOR_BLOCK``
+    disjoint groups of ``_FLOOR_BLOCK`` entries each. At least k groups have
+    a maximum ≥ t, so at least k entries are ≥ t.
+
+    ``np.fmax`` ignores NaN, so a group of NaN alone has a NaN maximum, and
+    negating before the partition sorts those groups last: they never count
+    among the k largest. Group j holds entries j, j + nb, j + 2·nb … (nb
+    groups), so the maxima take ``_FLOOR_BLOCK`` − 1 vector-wide passes
+    (~3× faster than contiguous blocks at 1M entries). The entries past the
+    last whole group are in none: t is a floor of the others, so still of
+    ``a``."""
+    nb = len(a) // _FLOOR_BLOCK
+    if nb < k:
+        return np.nan
+    bm = np.fmax.reduce(a[:nb * _FLOOR_BLOCK].reshape(_FLOOR_BLOCK, nb), axis=0)
+    return -np.partition(-bm, k - 1)[k - 1]
 
 
 class TopkScratch:
-    """Reusable dense buffers for :func:`topk_docs`' scratch path and for
-    :meth:`accumulate`: one score accumulator per dtype and a ``seen`` mask,
-    both indexed by doc id. Between calls every accumulator is all zero and
-    ``seen`` all False, so a call touches only the entries of its own docs.
+    """Reusable dense buffers for :func:`topk_docs`' scratch path
+    (:meth:`candidates`) and for :meth:`accumulate`: one score accumulator
+    per dtype and a ``seen`` mask, both indexed by doc id. Between calls
+    every accumulator is all zero and ``seen`` all False, so a call touches
+    only the entries of its own docs. The floor path of :meth:`candidates`
+    reads the touched docs off the accumulator alone and leaves ``seen``
+    untouched.
 
     Nothing is allocated until the first call; the buffers then take
     ``size`` entries, or more when a call brings a larger doc id (they grow
@@ -126,20 +160,54 @@ class TopkScratch:
           run (a few numpy calls per run; per-term ascending lists, as every
           engine passes, make few runs) and reset entry by entry, so the
           cost stays O(pairs) on a large buffer."""
-        n = len(doc_ids)
-        if n == 0:
+        if len(doc_ids) == 0:
             return doc_ids[:0], scores[:0]
+        return self._touched(self._add(doc_ids, scores), doc_ids)
+
+    def candidates(self, doc_ids: np.ndarray, scores: np.ndarray, k: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, summed scores) of a set of touched docs that holds
+        every doc of the top k and every doc tied with the k-th score, for
+        :func:`topk_docs` to cut exactly. Sums as :meth:`accumulate`.
+
+        On dense input (as :meth:`accumulate` defines it) with fewer than
+        ``len(doc_ids)`` wanted, the candidates are the entries of the
+        accumulator ≥ its :func:`_block_floor`, in ascending doc id, when
+        that floor is > 0: at least k entries are ≥ it, and none of them is
+        an untouched +0.0. The accumulator is then reset with one fill.
+        Otherwise (floor ≤ 0 or NaN, sparse input, k ≥ pairs) it returns
+        all the touched docs, as :meth:`accumulate` does."""
+        n = len(doc_ids)
+        acc = self._add(doc_ids, scores)
+        if k < n and n * _DENSE_MASK_RATIO >= len(acc):
+            t = _block_floor(acc, k)
+            if t > 0:  # False for NaN
+                uniq = np.flatnonzero(acc >= t).astype(doc_ids.dtype, copy=False)
+                sums = acc[uniq]
+                acc.fill(0)
+                return uniq, sums
+        return self._touched(acc, doc_ids)
+
+    def _add(self, doc_ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Adds every pair into the ``scores.dtype`` accumulator (grown to
+        fit, with ``seen``) and returns it. ``doc_ids`` is not empty."""
         if doc_ids.min() < 0:  # np.add.at would wrap a negative id
             raise ValueError("TopkScratch needs doc ids >= 0")
         need = int(doc_ids.max()) + 1
         if need > len(self.seen):
             self.seen = np.zeros(max(need, self._size), bool)
             self._acc.clear()
-        seen = self.seen
         acc = self._acc.get(scores.dtype)
         if acc is None:
-            acc = self._acc[scores.dtype] = np.zeros(len(seen), scores.dtype)
+            acc = self._acc[scores.dtype] = np.zeros(len(self.seen), scores.dtype)
         np.add.at(acc, doc_ids, scores)
+        return acc
+
+    def _touched(self, acc: np.ndarray, doc_ids: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`accumulate`'s result once its pairs are in ``acc``; resets
+        ``acc`` and ``seen``."""
+        seen, n = self.seen, len(doc_ids)
         if n * _DENSE_MASK_RATIO >= len(seen):
             seen[doc_ids] = True
             uniq = np.flatnonzero(seen).astype(doc_ids.dtype, copy=False)
@@ -183,15 +251,21 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
     it a run merge) and ``np.add.at`` sums them. With an engine-owned
     :class:`TopkScratch` (doc ids ≥ 0) and at least its ``min_pairs()``
     pairs: the term-at-a-time path — one ``np.add.at`` adds every pair
-    straight into a dense per-doc array (:meth:`TopkScratch.accumulate`),
-    with no sort. Both sum every doc 0 + w₁ + w₂ … in input order, so they
-    return bit-identical results, ties and NaN included. Either way the
-    k-th score is found by ``np.partition`` and only docs scoring at least
-    that are fully sorted."""
+    straight into a dense per-doc array, with no sort, and on dense input
+    only the docs at or above the array's block-maximum floor come out
+    (:meth:`TopkScratch.candidates`; a floor ≤ 0 falls back to every
+    touched doc). Both sum every doc 0 + w₁ + w₂ … in input order, so they
+    return bit-identical results, ties and NaN included. Either way a set
+    of more than ``_FLOOR_BLOCK``·(k + 1) candidates is first cut to those
+    ≥ its own block-maximum floor (any number will do there: the entries
+    are all real candidates), then the k-th score is found by
+    ``np.partition`` and only docs scoring at least that are fully
+    sorted. Each cut keeps a superset of the next one's survivors, so the
+    floors change no result."""
     if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
     if scratch is not None and len(doc_ids) >= scratch.min_pairs():
-        uniq, agg = scratch.accumulate(doc_ids, scores)
+        uniq, agg = scratch.candidates(doc_ids, scores, k)
     else:
         order = np.argsort(doc_ids, kind="stable")
         sorted_ids = doc_ids[order]
@@ -202,6 +276,11 @@ def topk_docs(doc_ids: np.ndarray, scores: np.ndarray, k: int,
         agg = np.zeros(len(uniq), scores.dtype)
         # stable order keeps each doc's entries in input order for add.at
         np.add.at(agg, np.cumsum(first) - 1, scores[order])
+    if len(agg) > _FLOOR_BLOCK * (k + 1):
+        t = _block_floor(agg, k)
+        if not np.isnan(t):
+            keep = np.flatnonzero(agg >= t)
+            uniq, agg = uniq[keep], agg[keep]
     neg = -agg  # ascending key; NaN sorts last here as in the lexsort
     if k < len(agg):
         kth = np.partition(neg, k - 1)[k - 1]

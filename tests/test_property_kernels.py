@@ -513,6 +513,108 @@ class TestTopkScratchProperty:
             assert got[1].tobytes() == want[1].tobytes()
 
 
+def _floor_block(width):
+    """topk_docs' block-maximum floors over groups of ``width`` entries, so
+    they fire at test sizes."""
+    from unittest import mock
+
+    from search_engine_ray.query import scoring
+
+    return mock.patch.object(scoring, "_FLOOR_BLOCK", width)
+
+
+# per-call score mixes: mostly positive (the floor fires), NaN-heavy (whole
+# groups of NaN sums), and ≤ 0 only (the floor is ≤ 0, so it falls back)
+_floor_scores = {
+    "mixed": st.one_of(_tie_scores, st.floats(1e-3, 1e16), _wide_scores,
+                       st.sampled_from([0.0, -0.0]), st.just(float("nan"))),
+    "nan": st.one_of(_tie_scores, st.just(float("nan"))),
+    "nonpos": st.one_of(st.floats(-1e16, 0.0), st.sampled_from([0.0, -0.0])),
+}
+# calls big enough for the floor to fire on most: 2–8 ascending runs or
+# 20–80 unsorted pairs over ids 0–60, k mostly 1–10 (0 and k ≥ the docs too)
+_floor_call = st.tuples(
+    st.one_of(
+        st.tuples(st.just("runs"),
+                  st.lists(st.lists(st.integers(0, 60), unique=True, min_size=1,
+                                    max_size=25), min_size=2, max_size=8)),
+        st.tuples(st.just("pairs"), st.lists(st.integers(0, 60), min_size=20, max_size=80))),
+    st.sampled_from(["mixed", "mixed", "nan", "nonpos"]),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 0, 90]))
+
+
+class TestBlockFloorProperty:
+    """topk_docs' block-maximum floor — on the dense scratch path, and on
+    the exact cut's candidates of either kernel — against the stateless
+    kernel and the full-sort spec, with the group width cut to 1–4."""
+
+    def test_floor_skips_nan_groups(self):
+        from search_engine_ray.query.scoring import _block_floor
+
+        a = np.array([np.nan, 1.0, np.nan, 2.0, 3.0, -1.0])
+        with _floor_block(1):
+            assert [_block_floor(a, k) for k in (1, 2, 3, 4)] == [3.0, 2.0, 1.0, -1.0]
+            assert np.isnan(_block_floor(a, 5))  # only four numbers
+            assert np.isnan(_block_floor(a, 7))  # fewer groups than k
+        with _floor_block(2):  # groups {a0, a3}, {a1, a4}, {a2, a5}
+            assert [_block_floor(a, k) for k in (1, 2, 3)] == [3.0, 2.0, -1.0]
+        with _floor_block(3):  # groups {a0, a2, a4}, {a1, a3, a5}
+            assert [_block_floor(a, k) for k in (1, 2)] == [3.0, 2.0]
+            b = np.array([np.nan, 1.0, np.nan, 2.0, np.nan, 3.0])
+            assert _block_floor(b, 1) == 3.0
+            assert np.isnan(_block_floor(b, 2))  # the other group is all NaN
+
+    def test_floor_matches_stateless(self):
+        """One reused scratch across calls of either dtype; per call the
+        scratch result must equal the stateless one, both must equal the
+        spec, and the scratch must be left clean. The floor path must have
+        served most calls."""
+        from unittest import mock
+
+        from search_engine_ray.query import scoring
+        from search_engine_ray.query.scoring import TopkScratch, topk_docs
+
+        served = []  # per call: did the scratch's floor pick the candidates?
+        floor = scoring._block_floor
+
+        @given(st.integers(0, 70), st.integers(1, 4),
+               st.lists(_floor_call, min_size=1, max_size=4),
+               st.data())
+        @settings(max_examples=400, deadline=None)
+        def run(size, width, calls, data):
+            scratch = TopkScratch(size)
+            fired = []
+
+            def spy(a, k):
+                t = floor(a, k)
+                fired.append(any(a is acc for acc in scratch._acc.values()) and t > 0)
+                return t
+
+            with _dense_always(), _floor_block(width), \
+                    mock.patch.object(scoring, "_block_floor", spy):
+                for (kind, raw), mix, dtype, k in calls:
+                    if kind == "runs":
+                        ids = np.array([d for run in raw for d in sorted(run)], np.int64)
+                    else:
+                        ids = np.array(raw, np.int64)
+                    sc = np.array(data.draw(st.lists(_floor_scores[mix], min_size=len(ids),
+                                                     max_size=len(ids))), dtype)
+                    fired.clear()
+                    got_ids, got_sc = topk_docs(ids, sc, k, scratch=scratch)
+                    served.append(any(fired))
+                    want_ids, want_sc = topk_docs(ids, sc, k)
+                    spec_ids, spec_sc = _topk_docs_spec(ids, sc, k)
+                    for ids_, sc_ in ((got_ids, got_sc), (want_ids, want_sc)):
+                        assert ids_.dtype == spec_ids.dtype and sc_.dtype == spec_sc.dtype
+                        np.testing.assert_array_equal(ids_, spec_ids)
+                        assert sc_.tobytes() == spec_sc.tobytes(), (sc_, spec_sc)
+                    _assert_scratch_clean(scratch)
+
+        run()
+        assert sum(served) > 0.5 * len(served), (sum(served), len(served))
+
+
 # a small alphabet makes near and equal strings common; NUL and non-BMP
 # characters check the 0-padded utf-32 code matrices
 _lev_texts = st.text(

@@ -1412,6 +1412,37 @@ def test_bitext_mine_denominator_guard(ray_session):
     assert "degenerate margin denominator" in str(ei.value)
 
 
+def test_bitext_mine_sharded_staging_removed_on_failure(ray_session, tmp_path,
+                                                        monkeypatch):
+    """broadcast_cap=1 → 30 hash shards, staged as a partitioned parquet
+    copy of the tgt side under the temp dir; a shard read that raises must
+    not leave that staging dir behind."""
+    import tempfile
+    from unittest import mock
+
+    import ray.data
+
+    from search_engine_ray.pipelines.training_data import bitext_mine
+
+    rng = np.random.default_rng(3)
+    emb_rows = ([{"vec_id": i, "embedding": list(map(float, rng.standard_normal(4)))}
+                 for i in range(30)]
+                + [{"vec_id": 100 + j, "embedding": list(map(float, rng.standard_normal(4)))}
+                   for j in range(3)])
+    lang_rows = ([{"doc_id": i, "lang": "en"} for i in range(30)]
+                 + [{"doc_id": 100 + j, "lang": "de"} for j in range(3)])
+    emb = ray.data.from_items(emb_rows)
+    langs = ray.data.from_items(lang_rows)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    read = mock.Mock(side_effect=OSError("shard read failed"))
+    with mock.patch.object(ray.data, "read_parquet", read), \
+            pytest.raises(OSError, match="shard read failed"):
+        bitext_mine(emb, langs, "de", "en", margin_k=4, threshold=1.0,
+                    broadcast_cap=1).to_pandas()
+    assert "tshard=" in str(read.call_args[0][0])  # the staged copy was read
+    assert not list(tmp_path.glob("bitext_tgt_shards_*"))
+
+
 def test_docid_gap_report_matches_scalar_spec(ray_session):
     """Both orderings' totals equal a pandas/numpy twin; a corpus whose
     term locality follows the cluster column compresses strictly better

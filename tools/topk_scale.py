@@ -22,7 +22,15 @@ they be for the same weights cast to float32 (the ``tfidf32`` scores).
 its two ways of finding the touched docs forced, whatever the input's
 density, each in a pass of its own over the same queries: they place the
 cut between them. ``mask_share`` is the share of queries that the shipped
-cut sends down the mask path.
+cut sends down the mask path (dense input). ``floor_share`` is the share of
+those dense queries whose candidates the block-maximum floor picked (the
+rest fell back to the mask scan), and ``floor_survivors`` the median number
+of candidates it left for the exact cut.
+
+The ``floor`` sweep places ``_FLOOR_BLOCK``: for each size it ranks the
+``head`` set with the scratch at each width of ``FLOOR_WIDTHS``, the widths
+taking turns on each query, and reports the median and p99 time and the
+median number of survivors per width.
 
 The ``cut`` sweep places ``TopkScratch.min_pairs``: for each size, 40
 queries per pair count, each 2–8 ascending runs of uniformly drawn doc ids
@@ -110,10 +118,27 @@ def _same(got, want) -> bool:
             and got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes())
 
 
+def _floor_of(scratch: TopkScratch, ids: np.ndarray, sc: np.ndarray):
+    """(did the block-maximum floor pick the scratch path's candidates, how
+    many candidates came out) for one query; untimed."""
+    fired = []
+    real = scoring._block_floor
+
+    def spy(a, k):
+        t = real(a, k)
+        fired.append(any(a is acc for acc in scratch._acc.values()) and t > 0)
+        return t
+
+    with mock.patch.object(scoring, "_block_floor", spy):
+        uniq, _ = scratch.candidates(ids, sc, K)
+    return any(fired), len(uniq)
+
+
 def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
     # wide queries are cheap at every size
     n_queries = 400 if kind == "wide" else max(30, min(400, 2_000_000 // n_docs))
     scratch = TopkScratch(n_docs + 1)
+    floored, survivors = 0, []
 
     def queries():
         return synthetic_queries(n_docs, n_queries, kind, seed)
@@ -126,8 +151,14 @@ def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
             got = topk_docs(ids, w, K, scratch=scratch)
             assert _same(got, want), (n_docs, kind, w.dtype)
         pairs.append(len(ids))
-        on_mask += len(ids) >= scratch.min_pairs() and \
+        dense = len(ids) >= scratch.min_pairs() and \
             len(ids) * scoring._DENSE_MASK_RATIO >= len(scratch.seen)
+        on_mask += dense
+        if dense:
+            fired, n_cand = _floor_of(scratch, ids, sc)
+            floored += fired
+            if fired:
+                survivors.append(n_cand)
         times["stateless"].append(_ms(lambda: topk_docs(ids, sc, K)))
         times["scratch"].append(_ms(lambda: topk_docs(ids, sc, K, scratch=scratch)))
     # one pass per forced path, so neither runs on the caches the other left
@@ -138,6 +169,8 @@ def time_kernels(n_docs: int, kind: str, seed: int) -> dict:
     return {"docs": n_docs, "queries": kind, "n_queries": n_queries,
             "candidates_per_q": round(statistics.mean(pairs)),
             "mask_share": round(on_mask / n_queries, 2),
+            "floor_share": round(floored / on_mask, 2) if on_mask else None,
+            "floor_survivors": statistics.median(survivors) if survivors else None,
             "stateless_ms": round(med["stateless"], 4),
             "scratch_ms": round(med["scratch"], 4),
             "scratch_p99_ms": round(float(np.percentile(times["scratch"], 99)), 4),
@@ -168,6 +201,28 @@ def time_cut(n_docs: int, seed: int) -> dict:
         points.append({"pairs": pairs,
                        **{f"{k}_ms": round(statistics.median(v), 4) for k, v in times.items()}})
     return {"docs": n_docs, "min_pairs": scratch.min_pairs(), "points": points}
+
+
+#: group widths of the ``floor`` sweep
+FLOOR_WIDTHS = (16, 32, 64, 128, 256)
+
+
+def time_floor(n_docs: int, seed: int) -> dict:
+    n_queries = max(30, min(200, 2_000_000 // n_docs))
+    scratch = TopkScratch(n_docs + 1)
+    times: dict[int, list[float]] = {w: [] for w in FLOOR_WIDTHS}
+    survivors: dict[int, list[int]] = {w: [] for w in FLOOR_WIDTHS}
+    for q, (ids, sc) in enumerate(synthetic_queries(n_docs, n_queries, "head", seed)):
+        # rotate which width goes first, so none always runs on a cold cache
+        for w in FLOOR_WIDTHS[q % len(FLOOR_WIDTHS):] + FLOOR_WIDTHS[:q % len(FLOOR_WIDTHS)]:
+            with mock.patch.object(scoring, "_FLOOR_BLOCK", w):
+                times[w].append(_ms(lambda: topk_docs(ids, sc, K, scratch=scratch)))
+                survivors[w].append(_floor_of(scratch, ids, sc)[1])
+    return {"docs": n_docs, "n_queries": n_queries, "shipped": scoring._FLOOR_BLOCK,
+            "points": [{"width": w, "scratch_ms": round(statistics.median(times[w]), 4),
+                        "scratch_p99_ms": round(float(np.percentile(times[w], 99)), 4),
+                        "survivors": statistics.median(survivors[w])}
+                       for w in FLOOR_WIDTHS]}
 
 
 def time_index(n_docs: int, seed: int) -> dict:
@@ -251,7 +306,8 @@ def main() -> None:
     sizes = [int(n) for n in args.sizes.split(",")]
     res = {"kernels": [time_kernels(n, kind, args.seed)
                        for n in sizes for kind in ("head", "wide")],
-           "cut": [time_cut(n, args.seed) for n in sizes]}
+           "cut": [time_cut(n, args.seed) for n in sizes],
+           "floor": [time_floor(n, args.seed) for n in sizes]}
     if args.index_docs:
         res["index"] = time_index(args.index_docs, args.seed)
     line = json.dumps(res)
